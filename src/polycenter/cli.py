@@ -64,6 +64,8 @@ def _verify_recursion(args) -> int:
         pairs = ((n, quad_recursion_rhs(n), quadrangulation_count(n)) for n in range(1, args.max + 1))
     else:
         k = args.k
+        if k < 3:
+            raise ValueError("k must be >= 3")
         pairs = (
             (n, kang_recursion_rhs(n, k), kangulation_count(n, k))
             for n in range(k + (k - 2), args.max + 1, k - 2)

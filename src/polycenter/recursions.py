@@ -7,11 +7,10 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .model import placement_count
-from .sequences import ballot_T, catalan, kangulation_count, quadrangulation_count
+from .sequences import ballot_T, catalan, kangulation_count
 
 
 def bounded_partitions(
@@ -26,10 +25,31 @@ def bounded_partitions(
         if total == 0:
             yield ()
         return
+    if parts == 1:
+        if smallest <= total <= largest and (total - residue) % mod == 0:
+            yield (total,)
+        return
     start = smallest + (residue - smallest) % mod
     for first in range(start, min(largest, total // parts) + 1, mod):
         for rest in bounded_partitions(total - first, parts - 1, first, largest, residue, mod):
             yield (first, *rest)
+
+
+def _central_sum(n: int, k: int) -> int:
+    """k-angulations of an n-gon grouped by central component.
+
+    Diameter term (n/2) * f(n/2+1)^2 for even n, plus, over sorted k-tuples
+    of side lengths < n/2 summing to n, the placement multiplicity times the
+    product of f(i+1), where f = kangulation_count.  Only side lengths
+    = 1 (mod k-2) bound a k-angulable sub-polygon, so no other is generated.
+    """
+    total = (n // 2) * kangulation_count(n // 2 + 1, k) ** 2 if n % 2 == 0 else 0
+    for part in bounded_partitions(n, k, 1, (n - 1) // 2, residue=1 % (k - 2), mod=k - 2):
+        prod = placement_count(part, n)
+        for i in part:
+            prod *= kangulation_count(i + 1, k)
+        total += prod
+    return total
 
 
 def central_recursion_rhs(n: int) -> int:
@@ -41,15 +61,7 @@ def central_recursion_rhs(n: int) -> int:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    total = (n // 2) * catalan(n // 2 - 1) ** 2 if n % 2 == 0 else 0
-    for i, j, k in bounded_partitions(n, 3, 1, (n - 1) // 2):
-        total += (
-            placement_count((i, j, k), n)
-            * catalan(i - 1)
-            * catalan(j - 1)
-            * catalan(k - 1)
-        )
-    return total
+    return _central_sum(n, 3)
 
 
 def quad_recursion_rhs(n: int) -> int:
@@ -62,17 +74,7 @@ def quad_recursion_rhs(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = (n + 1) * quadrangulation_count(Fraction(n, 2)) ** 2
-    big_n = 2 * n + 2
-    for part in bounded_partitions(big_n, 4, 1, n, residue=1, mod=2):
-        prod = 1
-        for i in part:
-            prod *= quadrangulation_count((i - 1) // 2)
-            if prod == 0:
-                break
-        if prod:
-            total += placement_count(part, big_n) * prod
-    return total
+    return _central_sum(2 * n + 2, 4)
 
 
 def kang_recursion_rhs(n: int, k: int = 3) -> int:
@@ -90,21 +92,7 @@ def kang_recursion_rhs(n: int, k: int = 3) -> int:
         raise ValueError(f"n={n} violates n = 2 (mod {k - 2})")
     if n <= k:
         raise ValueError("recursion domain is n > k; use kangulation_count for n = k")
-    total = 0
-    if n % 2 == 0:
-        total += (n // 2) * kangulation_count(n // 2 + 1, k) ** 2
-    mod = k - 2 if k > 3 else 1
-    for part in bounded_partitions(n, k, 1, (n - 1) // 2, residue=1 % mod, mod=mod):
-        prod = 1
-        for i in part:
-            f = kangulation_count(i + 1, k)
-            if f == 0:
-                prod = 0
-                break
-            prod *= f
-        if prod:
-            total += placement_count(part, n) * prod
-    return total
+    return _central_sum(n, k)
 
 
 def fixed_vertex_outside(n: int) -> int:

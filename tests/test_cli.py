@@ -70,6 +70,13 @@ class TestVerifyCommands:
         assert run(["verify", "recursion", "--kind", "quad", "--max", "10"]) == 0
         assert run(["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "30"]) == 0
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_recursion_kang_rejects_small_k(self, capsys, k):
+        assert run(["verify", "recursion", "--kind", "kang", "--k", str(k), "--max", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be >= 3\n"
+
     def test_congruence_json(self, capsys):
         assert run(["verify", "congruence", "--theorem", "odd", "--max", "100", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,5 +1,7 @@
 """Central-component recursions and the fixed-vertex formulas."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from polycenter import (
@@ -36,6 +38,19 @@ class TestBoundedPartitions:
             assert list(part) == sorted(part)
             assert sum(part) == 20
             assert all(1 <= p <= 9 for p in part)
+
+    def test_matches_exhaustive_reference(self):
+        # grid covers parts 0 and 1, smallest > total, total > largest and
+        # residue mismatches, so every base case runs on empty and non-empty results
+        grid = product(range(0, 13), range(0, 5), range(0, 4), range(0, 8), range(0, 3), (1, 2, 3))
+        for total, parts, smallest, largest, residue, mod in grid:
+            expected = [
+                c
+                for c in combinations_with_replacement(range(smallest, largest + 1), parts)
+                if sum(c) == total and all((v - residue) % mod == 0 for v in c)
+            ]
+            got = list(bounded_partitions(total, parts, smallest, largest, residue, mod))
+            assert got == expected, (total, parts, smallest, largest, residue, mod)
 
 
 class TestCentralRecursion:
