@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success / everything verified, 1 = a counterexample or
 identity failure was found (or an --expect assertion missed), 2 = usage
-error (unknown flags, malformed diagonal lists, invalid parameters).
+error (unknown flags, malformed diagonal lists, invalid parameters),
+3 = internal error (a broken invariant of the library itself, not a
+mathematical counterexample).
 """
 
 from __future__ import annotations
@@ -225,6 +227,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -59,16 +59,32 @@ class VerificationReport:
         }
 
 
+#: The first 13 primes; as Miller-Rabin bases they decide primality exactly
+#: for every p below _PRIME_TEST_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin primality test for p < _PRIME_TEST_LIMIT."""
+    if p <= _MR_BASES[-1]:
+        return p in _MR_BASES
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"primality is only decided for p < {_PRIME_TEST_LIMIT}, got p={p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

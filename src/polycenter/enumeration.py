@@ -7,21 +7,26 @@ closed-form counts they are used to check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator
 
-from .model import DIAMETER, Dissection, central_component, contains_vertex
+from .model import DIAMETER, CentralComponent, Dissection, contains_vertex, face_arcs
 
 
 def _regions(vs: list, k: int, n: int) -> Iterator:
-    """Yield diagonal tuples for every k-angulation of the sub-polygon ``vs``.
+    """Yield ``(diagonals, central)`` for every k-angulation of the sub-polygon ``vs``.
 
     ``vs`` is an ascending list of vertex labels whose first/last pair is the
     region's base edge; a 2-element region is an edge and dissects trivially.
+    ``central`` is the :class:`CentralComponent` of the n-gon when it lies
+    inside the region, else None.  Each cell is classified once, as it is
+    chosen, and shared by every dissection that contains it.
     """
     if len(vs) == 2:
-        yield ()
+        yield (), None
         return
     if (len(vs) - 2) % (k - 2):
         return
@@ -31,22 +36,32 @@ def _regions(vs: list, k: int, n: int) -> Iterator:
         segs = [vs[idxs[i]: idxs[i + 1] + 1] for i in range(k - 1)]
         if any((len(s) - 2) % (k - 2) for s in segs):
             continue
+        cell = tuple(vs[i] for i in idxs)
         cell_diags = []
-        for i in range(k - 1):
-            a, b = vs[idxs[i]], vs[idxs[i + 1]]
+        cell_central = None
+        for a, b in zip(cell, cell[1:]):
             if b - a > 1 and not (a == 0 and b == n - 1):
                 cell_diags.append((a, b))
+                if 2 * (b - a) == n:
+                    cell_central = CentralComponent(n, diameter=(a, b))
+        if cell_central is None and all(2 * a < n for a in face_arcs(cell, n)):
+            cell_central = CentralComponent(n, cell=cell)
         cell_diags = tuple(cell_diags)
         sub = [list(_regions(s, k, n)) for s in segs]
         for parts in product(*sub):
             diags = cell_diags
-            for p in parts:
+            central = cell_central
+            for p, c in parts:
                 diags += p
-            yield diags
+                if c is not None:
+                    if central is not None:
+                        raise AssertionError(f"two central components {central} and {c}")
+                    central = c
+            yield diags, central
 
 
-def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
-    """Every dissection of the n-gon into k-gons, exactly once.
+def _classified(n: int, k: int) -> Iterator:
+    """Every k-angulation of the n-gon as ``(diagonals, central)``, exactly once.
 
     Empty stream when n fails the parity constraint n = 2 (mod k-2).
     """
@@ -56,7 +71,18 @@ def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if (n - 2) % (k - 2):
         return
-    for diags in _regions(list(range(n)), k, n):
+    for diags, central in _regions(list(range(n)), k, n):
+        if central is None:
+            raise AssertionError(f"no central component in {diags}")
+        yield diags, central
+
+
+def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
+    """Every dissection of the n-gon into k-gons, exactly once.
+
+    Empty stream when n fails the parity constraint n = 2 (mod k-2).
+    """
+    for diags, _ in _classified(n, k):
         yield Dissection(n, diags, k)
 
 
@@ -77,16 +103,20 @@ def _key_order(key):
     return (0, ()) if key == DIAMETER else (1, key)
 
 
+def _central_tally(n: int, k: int) -> Counter:
+    """Number of k-angulations of the n-gon per central component."""
+    return Counter(map(itemgetter(1), _classified(n, k)))
+
+
 def central_census(n: int, k: int = 3) -> list:
     """Tally all dissections of the n-gon by central-component shape key.
 
     Keys are DIAMETER or the sorted cyclic side lengths of the central cell;
     entries come out DIAMETER first, then lexicographic.
     """
-    tally: dict = {}
-    for d in enumerate_kangulations(n, k):
-        key = central_component(d).shape_key()
-        tally[key] = tally.get(key, 0) + 1
+    tally: Counter = Counter()
+    for central, count in _central_tally(n, k).items():
+        tally[central.shape_key()] += count
     return [CensusEntry(key, tally[key]) for key in sorted(tally, key=_key_order)]
 
 
@@ -109,8 +139,6 @@ def count_vertex0_outside(n: int) -> int:
     """Exhaustive count of triangulations whose central component avoids vertex 0."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    total = 0
-    for d in enumerate_triangulations(n):
-        if not contains_vertex(central_component(d), 0):
-            total += 1
-    return total
+    return sum(
+        count for central, count in _central_tally(n, 3).items() if not contains_vertex(central, 0)
+    )

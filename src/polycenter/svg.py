@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Dissection, central_component
+from .model import Dissection, central_component, faces
 
 
 def _fmt(v: float) -> str:
@@ -34,7 +34,8 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
     """Render the dissection as an SVG document string.
 
     With highlighting on, exactly one element carries class="central": the
-    diameter line or the filled central cell.
+    diameter line or the filled central cell.  Either way the diagonals must
+    cut the polygon into k-gons, else ValueError.
     """
     n = d.n
     lines = [
@@ -42,7 +43,11 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.3 -1.3 2.6 2.6" width="520" height="520">',
     ]
-    central = central_component(d) if highlight_central else None
+    if highlight_central:
+        central = central_component(d)
+    else:
+        faces(d)
+        central = None
     if central is not None and not central.is_diameter:
         lines.append(
             f'<polygon class="central" points="{_points(central.cell, n)}" '

@@ -90,6 +90,14 @@ class TestVerifyCommands:
     def test_congruence_bad_prime(self, capsys):
         assert run(["verify", "congruence", "--theorem", "modp", "--p", "4", "--max", "100"]) == 2
 
+    def test_congruence_large_prime(self, capsys):
+        assert run(["verify", "congruence", "--theorem", "modp", "--p", "1000000000000000003", "--max", "10"]) == 0
+        assert capsys.readouterr().out == "modp: verified up to n=10\n"
+
+    def test_congruence_prime_beyond_bound(self, capsys):
+        assert run(["verify", "congruence", "--theorem", "modp", "--p", str(2**89 - 1), "--max", "10"]) == 2
+        assert "3317044064679887385961981" in capsys.readouterr().err
+
 
 class TestCensusCommand:
     def test_json(self, capsys):
@@ -133,6 +141,29 @@ class TestRender:
         out = tmp_path / "p.svg"
         assert run(["render", "6", "--diagonals", "0-2,2-4,0-4", "--out", str(out)]) == 0
         assert elements_with_class(out.read_text(), "central") == []
+
+    @pytest.mark.parametrize("highlight", [[], ["--highlight-central"]])
+    @pytest.mark.parametrize(
+        "n,diagonals,message",
+        [("4", "0-2,1-3", "cross"), ("6", "0-2", "has 5 vertices")],
+    )
+    def test_invalid_dissection_rejected(self, tmp_path, capsys, highlight, n, diagonals, message):
+        out = tmp_path / "bad.svg"
+        assert run(["render", n, "--diagonals", diagonals, "--out", str(out), *highlight]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInternalError:
+    def test_assertion_exits_3_without_traceback(self, monkeypatch, capsys):
+        def broken(n, k):
+            raise AssertionError("two central components")
+
+        monkeypatch.setattr("polycenter.cli.central_census", broken)
+        assert run(["census", "6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: two central components\n"
 
 
 class TestSvgDocument:

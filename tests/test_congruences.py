@@ -9,7 +9,7 @@ from polycenter import (
     predict_mod4,
     verify_congruence,
 )
-from polycenter.congruences import _first_mismatch, is_prime
+from polycenter.congruences import _PRIME_TEST_LIMIT, _first_mismatch, is_prime
 
 
 class TestPredictors:
@@ -34,11 +34,51 @@ class TestPredictors:
             assert predict_mod4(n) == catalan_mod(n, 4)
 
 
+def trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
 class TestIsPrime:
     def test_small(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
         for n in range(25):
             assert is_prime(n) == (n in primes)
+
+    def test_matches_trial_division_below_1e5(self):
+        for p in range(-3, 10**5):
+            assert is_prime(p) == trial_division(p), p
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # strong pseudoprime to bases 2..23
+            318665857834031151167461,  # = 399165290221 * 798330580441, strong pseudoprime to bases 2..37
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(10**18 + 3)
+        assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+    def test_rejects_inputs_beyond_the_proven_bound(self):
+        assert not is_prime(_PRIME_TEST_LIMIT - 1)
+        with pytest.raises(ValueError, match=str(_PRIME_TEST_LIMIT)):
+            is_prime(_PRIME_TEST_LIMIT)
+        with pytest.raises(ValueError, match=str(_PRIME_TEST_LIMIT)):
+            verify_congruence(Theorem.MODP_CATALAN, 10, p=2**89 - 1)
 
 
 class TestVerify:

@@ -14,6 +14,8 @@ from polycenter import (
     kangulation_count,
     placement_count,
 )
+from polycenter.enumeration import _regions
+from polycenter.model import Dissection, central_component
 
 
 class TestTriangulations:
@@ -61,6 +63,24 @@ class TestKangulations:
                 continue
             seen = {d.diagonals for d in enumerate_kangulations(n, k)}
             assert len(seen) == kangulation_count(n, k)
+
+
+class TestClassifiedStream:
+    """The central component picked while building cells matches the faces() path."""
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, 3) for n in range(3, 12)]
+        + [(n, 4) for n in range(4, 13, 2)]
+        + [(n, 5) for n in (5, 8, 11)],
+    )
+    def test_agrees_with_faces(self, n, k):
+        stream = list(_regions(list(range(n)), k, n))
+        for diags, central in stream:
+            assert central == central_component(Dissection(n, diags, k)), diags
+        got = {frozenset(diags) for diags, _ in stream}
+        assert len(got) == len(stream) == kangulation_count(n, k)
+        assert got == {d.diagonals for d in enumerate_kangulations(n, k)}
 
 
 class TestCensus:
