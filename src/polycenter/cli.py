@@ -42,21 +42,30 @@ def _finish(value, args) -> int:
     return 0
 
 
+def _n(args) -> int:
+    """args.n, rejected when negative: the library maps negative n to 0 for
+    the recursions' sake, but on the command line it is a usage error."""
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
+    return args.n
+
+
 def _cmd_catalan(args) -> int:
-    value = catalan_mod(args.n, args.mod) if args.mod is not None else catalan(args.n)
+    n = _n(args)
+    value = catalan_mod(n, args.mod) if args.mod is not None else catalan(n)
     return _finish(value, args)
 
 
 def _cmd_fuss(args) -> int:
-    return _finish(fuss_catalan(args.n, args.k), args)
+    return _finish(fuss_catalan(_n(args), args.k), args)
 
 
 def _cmd_kang(args) -> int:
-    return _finish(kangulation_count(args.n, args.k), args)
+    return _finish(kangulation_count(_n(args), args.k), args)
 
 
 def _cmd_quad(args) -> int:
-    return _finish(quadrangulation_count(args.n), args)
+    return _finish(quadrangulation_count(_n(args)), args)
 
 
 def _verify_recursion(args) -> int:

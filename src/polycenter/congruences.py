@@ -1,16 +1,19 @@
 """Verifiers for the parity, mod-4, and mod-p divisibility theorems.
 
 Each verifier sweeps a parameter range, compares predicted against actual
-residues, and returns a machine-readable report carrying the first
-counterexample (in index order) if any.
+residues, and returns a machine-readable report carrying the number of
+indices compared and the first counterexample (in index order) if any.  The
+actual residues are reduced from exact values, which one Fuss-Catalan ratio
+sweep supplies for the whole range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
-from .sequences import catalan_mod, kangulation_count
+from .sequences import fuss_catalan_sweep
 
 
 class Theorem(Enum):
@@ -41,17 +44,23 @@ def predict_mod4(n: int) -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a congruence sweep; passed iff no counterexample was found."""
+    """Outcome of a congruence sweep; passed iff no counterexample was found.
+
+    ``cases`` counts the indices compared: every index of the range on a
+    pass, or up to and including the counterexample on a failure.
+    """
 
     theorem: Theorem
     bounds: dict
     passed: bool
     counterexample: "dict | None" = None
+    cases: int = 0
 
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem.value,
             "range": dict(self.bounds),
+            "cases": self.cases,
             "passed": self.passed,
             "counterexample": None
             if self.counterexample is None
@@ -88,37 +97,47 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _first_mismatch(cases) -> "dict | None":
-    """cases yields (params, expected, actual); returns the first mismatch."""
+def _first_mismatch(cases) -> "tuple[dict | None, int]":
+    """cases yields (params, expected, actual); returns the first mismatch and the cases compared."""
+    compared = 0
     for params, expected, actual in cases:
+        compared += 1
         if expected != actual:
-            return {**params, "expected": expected, "actual": actual}
-    return None
+            return {**params, "expected": expected, "actual": actual}, compared
+    return None, compared
+
+
+def _fuss_catalan_at(ms: range, k: int = 2):
+    """(m, fuss_catalan(m, k)) for each m of the range ms, all read from one sweep."""
+    if not ms:
+        return ()
+    return zip(ms, islice(fuss_catalan_sweep(ms[-1], k), ms.start, None, ms.step))
 
 
 def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None) -> VerificationReport:
     """Sweep the theorem's parameter range up to max_n and report pass/fail.
 
     The mod-p theorems are one-directional: only the indices for which the
-    theorem predicts residue 0 are checked.
+    theorem predicts residue 0 are checked.  The sweep stops at the last
+    checked index.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     bounds = {"max_n": max_n}
     if theorem is Theorem.ODD_CHARACTERIZATION:
         cases = (
-            ({"n": n}, predict_mod2(n), catalan_mod(n, 2)) for n in range(max_n + 1)
+            ({"n": n}, predict_mod2(n), c % 2) for n, c in _fuss_catalan_at(range(max_n + 1))
         )
     elif theorem is Theorem.MOD4_CLASSIFICATION:
         cases = (
-            ({"n": n}, predict_mod4(n), catalan_mod(n, 4)) for n in range(max_n + 1)
+            ({"n": n}, predict_mod4(n), c % 4) for n, c in _fuss_catalan_at(range(max_n + 1))
         )
     elif theorem is Theorem.MODP_CATALAN:
         if p is None or p < 5 or not is_prime(p):
             raise ValueError("MODP_CATALAN requires a prime p >= 5")
         bounds["p"] = p
         cases = (
-            ({"n": n}, 0, catalan_mod(n, p)) for n in range(p - 2, max_n + 1, p)
+            ({"n": n}, 0, c % p) for n, c in _fuss_catalan_at(range(p - 2, max_n + 1, p))
         )
     elif theorem is Theorem.MODP_KANGULATION:
         if k is None or k < 3:
@@ -127,12 +146,19 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
             raise ValueError("MODP_KANGULATION requires a prime p >= 3 not dividing k")
         bounds["p"] = p
         bounds["k"] = k
+        # An n-gon has k-angulations iff n = (k-2)m + 2; their number is
+        # fuss_catalan(m, k-1).  p divides n iff m = -2/(k-2) (mod p), a
+        # nonzero residue, so m >= 1 and n >= k; if p divides k-2, no n is
+        # divisible by p.
+        step = k - 2
+        if step % p:
+            ms = range(-2 * pow(step, -1, p) % p, (max_n - 2) // step + 1, p)
+        else:
+            ms = range(0)
         cases = (
-            ({"n": n}, 0, kangulation_count(n, k) % p)
-            for n in range(p, max_n + 1, p)
-            if n >= k and (n - 2) % (k - 2) == 0
+            ({"n": step * m + 2}, 0, c % p) for m, c in _fuss_catalan_at(ms, k - 1)
         )
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    counterexample = _first_mismatch(cases)
-    return VerificationReport(theorem, bounds, counterexample is None, counterexample)
+    counterexample, compared = _first_mismatch(cases)
+    return VerificationReport(theorem, bounds, counterexample is None, counterexample, compared)

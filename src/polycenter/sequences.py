@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, prod
 
 
 def _integral(x) -> int | None:
@@ -57,6 +57,36 @@ def fuss_catalan(n: int, k: int) -> int:
     return _exact_div(comb(k * n, n), (k - 1) * n + 1)
 
 
+def fuss_catalan_sweep(max_m: int, k: int = 2):
+    """Iterate over fuss_catalan(m, k) for m = 0..max_m; Catalan numbers for k = 2.
+
+    Each term comes from the previous one by the exact ratio
+
+        F(m+1) / F(m) = prod_{j=1..k}(km + j) / ((m+1) prod_{j=2..k}((k-1)m + j)),
+
+    reduced by its gcd, so a step multiplies and divides the running value by
+    small ints instead of computing a fresh binomial.  Every division is
+    checked to be exact.  The arguments are checked when the function is
+    called, not when iteration starts.
+    """
+    if max_m < 0:
+        raise ValueError("max_m must be >= 0")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return _fuss_catalan_ratios(max_m, k)
+
+
+def _fuss_catalan_ratios(max_m: int, k: int):
+    value = 1
+    yield value
+    for m in range(max_m):
+        num = prod(range(k * m + 1, k * m + k + 1))
+        den = (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1))
+        g = gcd(num, den)
+        value = _exact_div(value * (num // g), den // g)
+        yield value
+
+
 def quadrangulation_count(n) -> int:
     """Number of quadrangulations of a (2n+2)-gon: binomial(3n, n)/(2n+1).
 
@@ -98,7 +128,12 @@ def ballot_T(n: int, k: int) -> int:
 
 
 def catalan_mod(n: int, m: int) -> int:
-    """C(n) mod m, via the cached exact value."""
+    """C(n) mod m for one n >= 0, reduced from the exact value catalan(n).
+
+    Unlike catalan, a negative n raises ValueError.  Each call computes (and
+    caches) one binomial; for residues over a range of n, reduce the values
+    of fuss_catalan_sweep instead.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 2:

@@ -37,6 +37,33 @@ class TestSequenceCommands:
         assert run(["catalan", "4", "--expect", "14"]) == 0
         assert run(["catalan", "4", "--expect", "15"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalan", "-1"],
+            ["catalan", "-1", "--mod", "3"],
+            ["catalan", "-7", "--expect", "0"],
+            ["quad", "-1"],
+            ["kang", "-5", "3"],
+            ["kang", "-5", "2"],
+            ["fuss", "-1", "3"],
+            ["fuss", "-1", "1"],
+        ],
+    )
+    def test_negative_n_rejected(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 0\n"
+
+    def test_n_zero_accepted(self, capsys):
+        assert run(["catalan", "0"]) == 0
+        assert run(["catalan", "0", "--mod", "3"]) == 0
+        assert run(["quad", "0"]) == 0
+        assert run(["kang", "0", "3"]) == 0
+        assert run(["fuss", "0", "3"]) == 0
+        assert capsys.readouterr().out.split() == ["1", "1", "1", "0", "1"]
+
     def test_roundtrip_reparse(self, capsys):
         from polycenter import catalan
 
@@ -82,6 +109,14 @@ class TestVerifyCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True and doc["counterexample"] is None
         assert doc["theorem"] == "odd" and doc["range"] == {"max_n": 100}
+        assert doc["cases"] == 101
+
+    def test_congruence_vacuous_range_reports_zero_cases(self, capsys):
+        argv = ["verify", "congruence", "--theorem", "modp", "--p", "101", "--max", "50"]
+        assert run(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cases"] == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "modp: verified up to n=50\n"
 
     def test_congruence_modp(self, capsys):
         assert run(["verify", "congruence", "--theorem", "modp", "--p", "7", "--max", "300"]) == 0

@@ -2,9 +2,13 @@
 
 import pytest
 
+import polycenter.congruences
 from polycenter import (
     Theorem,
+    catalan,
     catalan_mod,
+    fuss_catalan,
+    kangulation_count,
     predict_mod2,
     predict_mod4,
     verify_congruence,
@@ -115,6 +119,7 @@ class TestVerify:
         assert doc == {
             "theorem": "odd",
             "range": {"max_n": 50},
+            "cases": 51,
             "passed": True,
             "counterexample": None,
         }
@@ -126,6 +131,68 @@ class TestVerify:
             ({"n": 1}, 0, 1),
             ({"n": 2}, 0, 3),
         ]
-        ce = _first_mismatch(iter(cases))
+        ce, compared = _first_mismatch(iter(cases))
         assert ce == {"n": 1, "expected": 0, "actual": 1}
-        assert _first_mismatch(iter(cases[:1])) is None
+        assert compared == 2
+        assert _first_mismatch(iter(cases[:1])) == (None, 1)
+
+    def test_wrong_prediction_is_reported_with_the_true_residue(self, monkeypatch):
+        bad_n = 300
+        true_mod4 = predict_mod4
+
+        def wrong_at_bad_n(n):
+            return (true_mod4(n) + 1) % 4 if n == bad_n else true_mod4(n)
+
+        monkeypatch.setattr(polycenter.congruences, "predict_mod4", wrong_at_bad_n)
+        report = verify_congruence(Theorem.MOD4_CLASSIFICATION, 1000)
+        assert not report.passed
+        assert report.counterexample == {
+            "n": bad_n,
+            "expected": (true_mod4(bad_n) + 1) % 4,
+            "actual": catalan(bad_n) % 4,
+        }
+        assert report.cases == bad_n + 1
+
+
+def modp_indices(p, max_n):
+    """The indices the mod-p Catalan theorem checks, as stated: n = p-2 (mod p)."""
+    return list(range(p - 2, max_n + 1, p))
+
+
+def kangp_indices(p, k, max_n):
+    """The indices the mod-p k-angulation theorem checks: p | n, n >= k, and an n-gon has k-angulations."""
+    return [n for n in range(p, max_n + 1, p) if n >= k and (n - 2) % (k - 2) == 0]
+
+
+class TestCasesChecked:
+    MAX_NS = (0, 1, 2, 3, 10, 57, 400)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_modp_counts(self, p):
+        for max_n in self.MAX_NS:
+            report = verify_congruence(Theorem.MODP_CATALAN, max_n, p=p)
+            assert report.passed
+            assert report.cases == len(modp_indices(p, max_n)), (p, max_n)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_kangp_counts(self, p):
+        for k in range(3, 9):
+            if k % p == 0:
+                continue
+            for max_n in self.MAX_NS:
+                report = verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
+                assert report.passed
+                assert report.cases == len(kangp_indices(p, k, max_n)), (p, k, max_n)
+
+    def test_dense_counts(self):
+        for max_n in self.MAX_NS:
+            assert verify_congruence(Theorem.ODD_CHARACTERIZATION, max_n).cases == max_n + 1
+            assert verify_congruence(Theorem.MOD4_CLASSIFICATION, max_n).cases == max_n + 1
+
+    def test_sweeps_bypass_the_per_index_caches(self):
+        before = [f.cache_info() for f in (catalan, fuss_catalan, kangulation_count)]
+        verify_congruence(Theorem.ODD_CHARACTERIZATION, 700)
+        verify_congruence(Theorem.MOD4_CLASSIFICATION, 700)
+        verify_congruence(Theorem.MODP_CATALAN, 700, p=11)
+        verify_congruence(Theorem.MODP_KANGULATION, 700, p=5, k=4)
+        assert [f.cache_info() for f in (catalan, fuss_catalan, kangulation_count)] == before

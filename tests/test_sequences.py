@@ -1,6 +1,7 @@
 """Closed-form sequence values against independent oracles."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from polycenter import (
     kangulation_count,
     quadrangulation_count,
 )
+from polycenter.sequences import fuss_catalan_sweep
 
 
 def pascal_triangle(rows):
@@ -98,6 +100,22 @@ class TestFussCatalan:
     @given(st.integers(0, 60), st.integers(2, 8))
     def test_always_integral(self, n, k):
         assert fuss_catalan(n, k) >= 1
+
+
+class TestFussCatalanSweep:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_against_comb_reference(self, k):
+        expected = [comb(k * m, m) // ((k - 1) * m + 1) for m in range(301)]
+        assert list(fuss_catalan_sweep(300, k)) == expected
+
+    def test_default_is_catalan(self):
+        assert list(fuss_catalan_sweep(0)) == [1]
+        assert list(fuss_catalan_sweep(6)) == [1, 1, 2, 5, 14, 42, 132]
+
+    @pytest.mark.parametrize("max_m, k", [(-1, 2), (-5, 3), (3, 1), (3, 0), (0, -2)])
+    def test_bad_args_raise_at_call(self, max_m, k):
+        with pytest.raises(ValueError):
+            fuss_catalan_sweep(max_m, k)
 
 
 class TestQuadrangulation:
