@@ -69,6 +69,8 @@ def _cmd_quad(args) -> int:
 
 
 def _verify_recursion(args) -> int:
+    if args.max < 0:
+        raise ValueError("max must be >= 0")
     if args.kind == "central":
         pairs = ((n, central_recursion_rhs(n), catalan(n - 2)) for n in range(3, args.max + 1))
     elif args.kind == "quad":

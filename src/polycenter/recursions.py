@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .model import placement_count
-from .sequences import ballot_T, catalan, kangulation_count
+from .sequences import ballot_T, fuss_catalan_sweep, kangulation_count
 
 
 def bounded_partitions(
@@ -38,16 +38,18 @@ def bounded_partitions(
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component.
 
-    Diameter term (n/2) * f(n/2+1)^2 for even n, plus, over sorted k-tuples
+    Diameter term (n/2) * f[n/2]^2 for even n, plus, over sorted k-tuples
     of side lengths < n/2 summing to n, the placement multiplicity times the
-    product of f(i+1), where f = kangulation_count.  Only side lengths
-    = 1 (mod k-2) bound a k-angulable sub-polygon, so no other is generated.
+    product of f[i], where f[i] = kangulation_count(i+1, k) is tabulated once
+    per call for i <= n/2.  Only side lengths = 1 (mod k-2) bound a
+    k-angulable sub-polygon, so no other is generated.
     """
-    total = (n // 2) * kangulation_count(n // 2 + 1, k) ** 2 if n % 2 == 0 else 0
+    f = [kangulation_count(i + 1, k) for i in range(n // 2 + 1)]
+    total = (n // 2) * f[n // 2] ** 2 if n % 2 == 0 else 0
     for part in bounded_partitions(n, k, 1, (n - 1) // 2, residue=1 % (k - 2), mod=k - 2):
         prod = placement_count(part, n)
         for i in part:
-            prod *= kangulation_count(i + 1, k)
+            prod *= f[i]
         total += prod
     return total
 
@@ -100,7 +102,8 @@ def fixed_vertex_outside(n: int) -> int:
     central component: sum of C(m) C(n-2-m) for 1 <= m <= floor(n/2) - 1."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return sum(catalan(m) * catalan(n - 2 - m) for m in range(1, n // 2))
+    c = list(fuss_catalan_sweep(n - 2))
+    return sum(c[m] * c[n - 2 - m] for m in range(1, n // 2))
 
 
 def fixed_vertex_outside_double_sum(n: int) -> int:
@@ -108,10 +111,11 @@ def fixed_vertex_outside_double_sum(n: int) -> int:
     separating vertex 0 from the center and the position of its near endpoint."""
     if n < 3:
         raise ValueError("n must be >= 3")
+    c = list(fuss_catalan_sweep(n - 3))
     total = 0
     for length in range(2, n // 2 + 1):
         for j in range(1, length):
-            total += catalan(n - length - 1) * catalan(length - j - 1) * catalan(j - 1)
+            total += c[n - length - 1] * c[length - j - 1] * c[j - 1]
     return total
 
 

@@ -9,8 +9,7 @@ every function total.  Divisions in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, prod
 
 
 def _integral(x) -> int | None:
@@ -38,16 +37,14 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
 def catalan(n) -> int:
-    """Catalan number C(n) = binomial(2n, n)/(n+1); 0 for negative or non-integer n."""
+    """Catalan number C(n) = fuss_catalan(n, 2); 0 for negative or non-integer n."""
     i = _integral(n)
     if i is None or i < 0:
         return 0
-    return _exact_div(comb(2 * i, i), i + 1)
+    return fuss_catalan(i, 2)
 
 
-@lru_cache(maxsize=None)
 def fuss_catalan(n: int, k: int) -> int:
     """Fuss-Catalan number: binomial(kn, n)/((k-1)n + 1)."""
     if n < 0:
@@ -64,10 +61,10 @@ def fuss_catalan_sweep(max_m: int, k: int = 2):
 
         F(m+1) / F(m) = prod_{j=1..k}(km + j) / ((m+1) prod_{j=2..k}((k-1)m + j)),
 
-    reduced by its gcd, so a step multiplies and divides the running value by
-    small ints instead of computing a fresh binomial.  Every division is
-    checked to be exact.  The arguments are checked when the function is
-    called, not when iteration starts.
+    so a step multiplies and divides the running value by small ints instead
+    of computing a fresh binomial.  The product divides exactly because
+    F(m+1) is an integer, and every division is checked.  The arguments are
+    checked when the function is called, not when iteration starts.
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
@@ -82,13 +79,12 @@ def _fuss_catalan_ratios(max_m: int, k: int):
     for m in range(max_m):
         num = prod(range(k * m + 1, k * m + k + 1))
         den = (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1))
-        g = gcd(num, den)
-        value = _exact_div(value * (num // g), den // g)
+        value = _exact_div(value * num, den)
         yield value
 
 
 def quadrangulation_count(n) -> int:
-    """Number of quadrangulations of a (2n+2)-gon: binomial(3n, n)/(2n+1).
+    """Number of quadrangulations of a (2n+2)-gon: fuss_catalan(n, 3).
 
     Returns 0 unless n is a nonnegative integer (half-integer call sites in
     the diameter terms rely on this).
@@ -96,10 +92,9 @@ def quadrangulation_count(n) -> int:
     i = _integral(n)
     if i is None or i < 0:
         return 0
-    return _exact_div(comb(3 * i, i), 2 * i + 1)
+    return fuss_catalan(i, 3)
 
 
-@lru_cache(maxsize=None)
 def kangulation_count(n, k: int = 3) -> int:
     """Number of dissections of an n-gon into k-gons.
 
@@ -130,9 +125,9 @@ def ballot_T(n: int, k: int) -> int:
 def catalan_mod(n: int, m: int) -> int:
     """C(n) mod m for one n >= 0, reduced from the exact value catalan(n).
 
-    Unlike catalan, a negative n raises ValueError.  Each call computes (and
-    caches) one binomial; for residues over a range of n, reduce the values
-    of fuss_catalan_sweep instead.
+    Unlike catalan, a negative n raises ValueError.  Each call computes one
+    binomial; for residues over a range of n, reduce the values of
+    fuss_catalan_sweep instead.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -104,6 +104,18 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == "error: k must be >= 3\n"
 
+    @pytest.mark.parametrize("kind", ["central", "quad", "kang"])
+    def test_recursion_rejects_negative_max(self, capsys, kind):
+        assert run(["verify", "recursion", "--kind", kind, "--max", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max must be >= 0\n"
+
+    @pytest.mark.parametrize("kind", ["central", "quad", "kang"])
+    def test_recursion_empty_range_reports_zero_cases(self, capsys, kind):
+        assert run(["verify", "recursion", "--kind", kind, "--max", "0"]) == 0
+        assert capsys.readouterr().out == "verified 0 cases\n"
+
     def test_congruence_json(self, capsys):
         assert run(["verify", "congruence", "--theorem", "odd", "--max", "100", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

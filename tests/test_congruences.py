@@ -3,12 +3,11 @@
 import pytest
 
 import polycenter.congruences
+import polycenter.sequences
 from polycenter import (
     Theorem,
     catalan,
     catalan_mod,
-    fuss_catalan,
-    kangulation_count,
     predict_mod2,
     predict_mod4,
     verify_congruence,
@@ -189,10 +188,15 @@ class TestCasesChecked:
             assert verify_congruence(Theorem.ODD_CHARACTERIZATION, max_n).cases == max_n + 1
             assert verify_congruence(Theorem.MOD4_CLASSIFICATION, max_n).cases == max_n + 1
 
-    def test_sweeps_bypass_the_per_index_caches(self):
-        before = [f.cache_info() for f in (catalan, fuss_catalan, kangulation_count)]
-        verify_congruence(Theorem.ODD_CHARACTERIZATION, 700)
-        verify_congruence(Theorem.MOD4_CLASSIFICATION, 700)
-        verify_congruence(Theorem.MODP_CATALAN, 700, p=11)
-        verify_congruence(Theorem.MODP_KANGULATION, 700, p=5, k=4)
-        assert [f.cache_info() for f in (catalan, fuss_catalan, kangulation_count)] == before
+    def test_sweeps_never_call_per_index_closed_forms(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"per-index closed form called with {args}")
+
+        for module in (polycenter.sequences, polycenter.congruences):
+            for name in ("catalan", "fuss_catalan", "kangulation_count", "catalan_mod"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert verify_congruence(Theorem.ODD_CHARACTERIZATION, 700).passed
+        assert verify_congruence(Theorem.MOD4_CLASSIFICATION, 700).passed
+        assert verify_congruence(Theorem.MODP_CATALAN, 700, p=11).passed
+        assert verify_congruence(Theorem.MODP_KANGULATION, 700, p=5, k=4).passed
