@@ -16,38 +16,32 @@ from typing import Iterator
 from .model import DIAMETER, CentralComponent, Dissection, contains_vertex, face_arcs
 
 
-def _regions(vs: list, k: int, n: int) -> Iterator:
-    """Yield ``(diagonals, central)`` for every k-angulation of the sub-polygon ``vs``.
+def _regions(lo: int, hi: int, k: int, n: int) -> Iterator:
+    """Yield ``(diagonals, central)`` for every k-angulation of the interval ``lo..hi``.
 
-    ``vs`` is an ascending list of vertex labels whose first/last pair is the
-    region's base edge; a 2-element region is an edge and dissects trivially.
+    The region is the sub-polygon on the vertex labels lo, lo+1, ..., hi with
+    base edge (lo, hi); the caller has checked that hi - lo - 1 is a multiple
+    of k - 2, and hi = lo + 1 is an edge that dissects trivially.
     ``central`` is the :class:`CentralComponent` of the n-gon when it lies
     inside the region, else None.  Each cell is classified once, as it is
     chosen, and shared by every dissection that contains it.
     """
-    if len(vs) == 2:
+    if hi - lo == 1:
         yield (), None
         return
-    if (len(vs) - 2) % (k - 2):
-        return
-    last = len(vs) - 1
-    for mids in combinations(range(1, last), k - 2):
-        idxs = (0, *mids, last)
-        segs = [vs[idxs[i]: idxs[i + 1] + 1] for i in range(k - 1)]
-        if any((len(s) - 2) % (k - 2) for s in segs):
+    for mids in combinations(range(lo + 1, hi), k - 2):
+        cell = (lo, *mids, hi)
+        sides = tuple(zip(cell, cell[1:]))
+        if any((b - a - 1) % (k - 2) for a, b in sides):
             continue
-        cell = tuple(vs[i] for i in idxs)
-        cell_diags = []
+        cell_diags = tuple((a, b) for a, b in sides if b - a > 1)
         cell_central = None
-        for a, b in zip(cell, cell[1:]):
-            if b - a > 1 and not (a == 0 and b == n - 1):
-                cell_diags.append((a, b))
-                if 2 * (b - a) == n:
-                    cell_central = CentralComponent(n, diameter=(a, b))
+        for a, b in cell_diags:
+            if 2 * (b - a) == n:
+                cell_central = CentralComponent(n, diameter=(a, b))
         if cell_central is None and all(2 * a < n for a in face_arcs(cell, n)):
             cell_central = CentralComponent(n, cell=cell)
-        cell_diags = tuple(cell_diags)
-        sub = [list(_regions(s, k, n)) for s in segs]
+        sub = [list(_regions(a, b, k, n)) for a, b in sides]
         for parts in product(*sub):
             diags = cell_diags
             central = cell_central
@@ -71,7 +65,7 @@ def _classified(n: int, k: int) -> Iterator:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if (n - 2) % (k - 2):
         return
-    for diags, central in _regions(list(range(n)), k, n):
+    for diags, central in _regions(0, n - 1, k, n):
         if central is None:
             raise AssertionError(f"no central component in {diags}")
         yield diags, central

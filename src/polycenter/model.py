@@ -1,9 +1,9 @@
 """Labeled convex-polygon dissections and their central components.
 
 Vertices of an n-gon are labeled 0..n-1 counterclockwise on the circle.
-Everything here is purely combinatorial: crossing tests, face extraction,
-and the central-component classification all work on vertex labels, never
-on coordinates.
+Everything here is purely combinatorial: face extraction (which also finds
+crossings) and the central-component classification work on vertex labels,
+never on coordinates.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ def cyclic_length(x: int, y: int, n: int) -> int:
     if not 0 <= x < y < n:
         raise ValueError(f"need 0 <= x < y < n, got x={x}, y={y}, n={n}")
     return min(y - x, n + x - y)
-
-
-def diagonals_cross(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
-    """True when the two (sorted) diagonals cross strictly inside the polygon."""
-    a, b = d1
-    c, d = d2
-    return a < c < b < d or c < a < d < b
 
 
 @dataclass(frozen=True)
@@ -66,14 +59,10 @@ def faces(d: Dissection) -> list:
 
     Rejects crossing diagonal sets and dissections whose cells are not all
     k-gons.  The sorted vertex order of a cell is its cyclic order rotated
-    to the minimum label.
+    to the minimum label.  Crossings are found while splitting: two crossing
+    diagonals share every pending list until one of them splits it, and
+    there the other is neither inside nor outside the split.
     """
-    diags = d.sorted_diagonals()
-    for i in range(len(diags)):
-        for j in range(i + 1, len(diags)):
-            if diagonals_cross(diags[i], diags[j]):
-                raise ValueError(f"diagonals {diags[i]} and {diags[j]} cross")
-
     out: list = []
 
     def split(vertices: list, pending: list) -> None:
@@ -81,16 +70,19 @@ def faces(d: Dissection) -> list:
             out.append(tuple(vertices))
             return
         x, y = pending[0]
-        inner = [v for v in vertices if x <= v <= y]
-        outer = [v for v in vertices if v <= x or v >= y]
         inner_p: list = []
         outer_p: list = []
         for e in pending[1:]:
-            (inner_p if x <= e[0] and e[1] <= y else outer_p).append(e)
-        split(inner, inner_p)
-        split(outer, outer_p)
+            if x <= e[0] and e[1] <= y:
+                inner_p.append(e)
+            elif e[1] <= x or e[0] >= y or (e[0] <= x and y <= e[1]):
+                outer_p.append(e)
+            else:
+                raise ValueError(f"diagonals {(x, y)} and {e} cross")
+        split([v for v in vertices if x <= v <= y], inner_p)
+        split([v for v in vertices if v <= x or v >= y], outer_p)
 
-    split(list(range(d.n)), diags)
+    split(list(range(d.n)), d.sorted_diagonals())
     out.sort()
     for f in out:
         if len(f) != d.k:

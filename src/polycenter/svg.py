@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Dissection, central_component, faces
+from .model import Dissection, central_component
 
 
 def _fmt(v: float) -> str:
@@ -30,6 +30,15 @@ def _points(vertices, n: int) -> str:
     return " ".join(parts)
 
 
+def _line(a: int, b: int, n: int, cls: str, stroke: str, width: str) -> str:
+    x1, y1 = _vertex_xy(a, n)
+    x2, y2 = _vertex_xy(b, n)
+    return (
+        f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+        f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
 def render_svg(d: Dissection, highlight_central: bool = True) -> str:
     """Render the dissection as an SVG document string.
 
@@ -43,14 +52,12 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.3 -1.3 2.6 2.6" width="520" height="520">',
     ]
-    if highlight_central:
-        central = central_component(d)
-    else:
-        faces(d)
-        central = None
-    if central is not None and not central.is_diameter:
+    central = central_component(d)
+    cell = central.cell if highlight_central else None
+    diameter = central.diameter if highlight_central else None
+    if cell is not None:
         lines.append(
-            f'<polygon class="central" points="{_points(central.cell, n)}" '
+            f'<polygon class="central" points="{_points(cell, n)}" '
             'fill="#ffd24d" fill-opacity="0.65" stroke="#c0392b" stroke-width="0.02"/>'
         )
     lines.append(
@@ -58,20 +65,9 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
         'fill="none" stroke="#202020" stroke-width="0.012"/>'
     )
     for x, y in d.sorted_diagonals():
-        x1, y1 = _vertex_xy(x, n)
-        x2, y2 = _vertex_xy(y, n)
-        lines.append(
-            f'<line class="diagonal" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="#2b6cb0" stroke-width="0.012"/>'
-        )
-    if central is not None and central.is_diameter:
-        a, b = central.diameter
-        x1, y1 = _vertex_xy(a, n)
-        x2, y2 = _vertex_xy(b, n)
-        lines.append(
-            f'<line class="central" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="#c0392b" stroke-width="0.03"/>'
-        )
+        lines.append(_line(x, y, n, "diagonal", "#2b6cb0", "0.012"))
+    if diameter is not None:
+        lines.append(_line(*diameter, n, "central", "#c0392b", "0.03"))
     for v in range(n):
         x, y = _vertex_xy(v, n)
         lines.append(

@@ -80,7 +80,12 @@ def test_criterion_3_kang_recursion():
 
 def test_criterion_4_oracle_census():
     def body():
-        cases = [(n, 3) for n in range(3, 15)] + [(n, 4) for n in range(4, 17, 2)]
+        cases = (
+            [(n, 3) for n in range(3, 16)]
+            + [(n, 4) for n in range(4, 19, 2)]
+            + [(n, 5) for n in range(5, 21, 3)]
+            + [(n, 6) for n in range(6, 23, 4)]
+        )
         for n, k in cases:
             entries = central_census(n, k)
             assert sum(e.count for e in entries) == kangulation_count(n, k), (n, k)

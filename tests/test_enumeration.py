@@ -75,7 +75,7 @@ class TestClassifiedStream:
         + [(n, 5) for n in (5, 8, 11)],
     )
     def test_agrees_with_faces(self, n, k):
-        stream = list(_regions(list(range(n)), k, n))
+        stream = list(_regions(0, n - 1, k, n))
         for diags, central in stream:
             assert central == central_component(Dissection(n, diags, k)), diags
         got = {frozenset(diags) for diags, _ in stream}

@@ -70,8 +70,29 @@ class TestFaces:
         assert faces(Dissection(3, set())) == [(0, 1, 2)]
 
     def test_rejects_crossing(self):
-        with pytest.raises(ValueError):
-            faces(Dissection(6, {(0, 2), (1, 3), (3, 5)}))
+        def cross(d1, d2):
+            (a, b), (c, d) = d1, d2
+            return a < c < b < d or c < a < d < b
+
+        named = [
+            (6, {(0, 2), (1, 3), (3, 5)}),
+            (8, {(0, 5), (1, 3), (2, 4)}),  # crossing inside the region (0, 5) cuts off
+            (8, {(0, 2), (3, 6), (4, 7)}),  # crossing outside the region (0, 2) cuts off
+        ]
+        for n, diags in named:
+            with pytest.raises(ValueError, match="cross"):
+                faces(Dissection(n, diags))
+        for n in range(4, 9):
+            diagonals = [(x, y) for x, y in combinations(range(n), 2) if 1 < y - x < n - 1]
+            for size in (2, 3):
+                for diags in combinations(diagonals, size):
+                    crossing = any(cross(d1, d2) for d1, d2 in combinations(diags, 2))
+                    try:
+                        faces(Dissection(n, diags))
+                        rejected = False
+                    except ValueError as exc:
+                        rejected = "cross" in str(exc)
+                    assert rejected == crossing, (n, diags)
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
