@@ -14,10 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from .congruences import Theorem, verify_congruence
-from .enumeration import central_census, census_to_json, count_vertex0_outside
+from .congruences import Theorem, _first_mismatch, verify_congruence
+from .enumeration import _key_order, central_census, census_to_json, count_vertex0_outside
 from .model import DIAMETER, Dissection, parse_diagonals
 from .recursions import (
+    _central_terms,
     central_recursion_rhs,
     dyck_formula,
     fixed_vertex_outside,
@@ -32,6 +33,12 @@ from .sequences import (
     quadrangulation_count,
 )
 from .svg import render_svg
+
+#: Most dissections a brute-force command may enumerate.  The count is read
+#: from kangulation_count before enumerating, so a larger request exits 2
+#: at once instead of running for hours: 3,000,000 admits the 2,674,440
+#: triangulations of the 16-gon and refuses the 9,694,845 of the 17-gon.
+ENUMERATION_LIMIT = 3_000_000
 
 
 def _finish(value, args) -> int:
@@ -66,6 +73,20 @@ def _cmd_kang(args) -> int:
 
 def _cmd_quad(args) -> int:
     return _finish(quadrangulation_count(_n(args)), args)
+
+
+def _preflight(n: int, k: int) -> None:
+    """Refuse, before enumerating, a brute-force run above ENUMERATION_LIMIT."""
+    count = kangulation_count(n, k)
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"n={n}, k={k} would enumerate {count} dissections, "
+            f"above the limit of {ENUMERATION_LIMIT}"
+        )
+
+
+def _shape_text(shape) -> str:
+    return DIAMETER if shape == DIAMETER else ",".join(map(str, shape))
 
 
 def _verify_recursion(args) -> int:
@@ -106,14 +127,53 @@ def _verify_congruence(args) -> int:
     return 0 if report.passed else 1
 
 
+def _verify_census(args) -> int:
+    n, k = args.n, args.k
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    if (n - 2) % (k - 2):
+        raise ValueError(f"n={n} violates n = 2 (mod {k - 2})")
+    _preflight(n, k)
+    expected = {shape: count for shape, count in _central_terms(n, k) if count}
+    enumerated = {e.key: e.count for e in central_census(n, k)}
+    shapes = sorted(expected.keys() | enumerated.keys(), key=_key_order)
+    counterexample, cases = _first_mismatch(
+        (
+            {"shape": shape if shape == DIAMETER else list(shape)},
+            str(expected.get(shape, 0)),
+            str(enumerated.get(shape, 0)),
+        )
+        for shape in shapes
+    )
+    if args.json:
+        doc = {
+            "range": {"n": n, "k": k},
+            "cases": cases,
+            "passed": counterexample is None,
+            "counterexample": counterexample,
+        }
+        print(json.dumps(doc, sort_keys=True))
+    elif counterexample is None:
+        print(f"census n={n} k={k}: verified {cases} cases")
+    else:
+        shape = _shape_text(counterexample["shape"])
+        print(
+            f"census n={n} k={k}: shape {shape} expected {counterexample['expected']}, "
+            f"enumerated {counterexample['actual']}"
+        )
+    return 0 if counterexample is None else 1
+
+
 def _cmd_census(args) -> int:
+    _preflight(args.n, args.k)
     entries = central_census(args.n, args.k)
     if args.json:
         print(json.dumps(census_to_json(args.n, args.k, entries), sort_keys=True))
     else:
         for e in entries:
-            shape = DIAMETER if e.key == DIAMETER else ",".join(map(str, e.key))
-            print(f"{shape}\t{e.count}")
+            print(f"{_shape_text(e.key)}\t{e.count}")
     return 0
 
 
@@ -121,6 +181,7 @@ def _cmd_fixed_vertex(args) -> int:
     closed = fixed_vertex_outside(args.n)
     values = {"closed-form": closed}
     if args.brute:
+        _preflight(args.n, 3)
         values["brute-force"] = count_vertex0_outside(args.n)
     if args.dyck:
         values["dyck"] = dyck_formula(args.n - 2)
@@ -199,6 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--max", type=int, required=True)
     vc.add_argument("--json", action="store_true")
     vc.set_defaults(func=_verify_congruence)
+
+    vs = vsub.add_parser(
+        "census", help="check each recursion term against the brute-force census, shape by shape"
+    )
+    vs.add_argument("n", type=int)
+    vs.add_argument("--k", type=int, default=3)
+    vs.add_argument("--json", action="store_true")
+    vs.set_defaults(func=_verify_census)
 
     sp = sub.add_parser("census", help="brute-force central-component census")
     sp.add_argument("n", type=int)

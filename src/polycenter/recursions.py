@@ -7,10 +7,11 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterator
 
-from .model import placement_count
-from .sequences import ballot_T, fuss_catalan_sweep, kangulation_count
+from .model import DIAMETER
+from .sequences import _exact_div, fuss_catalan_sweep, kangulation_count
 
 
 def bounded_partitions(
@@ -29,29 +30,55 @@ def bounded_partitions(
         if smallest <= total <= largest and (total - residue) % mod == 0:
             yield (total,)
         return
+    if parts == 2:
+        # first <= total - first <= largest; both parts share the residue
+        if (total - 2 * residue) % mod:
+            return
+        lo = max(smallest, total - largest)
+        for first in range(lo + (residue - lo) % mod, total // 2 + 1, mod):
+            yield (first, total - first)
+        return
     start = smallest + (residue - smallest) % mod
     for first in range(start, min(largest, total // parts) + 1, mod):
         for rest in bounded_partitions(total - first, parts - 1, first, largest, residue, mod):
             yield (first, *rest)
 
 
-def _central_sum(n: int, k: int) -> int:
-    """k-angulations of an n-gon grouped by central component.
+def _central_terms(n: int, k: int) -> Iterator:
+    """The terms of the central-component recursion as ``(shape, count)``.
 
-    Diameter term (n/2) * f[n/2]^2 for even n, plus, over sorted k-tuples
-    of side lengths < n/2 summing to n, the placement multiplicity times the
-    product of f[i], where f[i] = kangulation_count(i+1, k) is tabulated once
-    per call for i <= n/2.  Only side lengths = 1 (mod k-2) bound a
-    k-angulable sub-polygon, so no other is generated.
+    For even n the diameter term (DIAMETER, (n/2) * f[n/2]^2) comes first
+    (zero when no k-angulation has a diameter); then, in lexicographic order,
+    one term per sorted k-tuple of side lengths < n/2 summing to n: the
+    placement multiplicity times the product of f[i], where
+    f[i] = kangulation_count(i+1, k) is tabulated once per call for i <= n/2.
+    Only side lengths = 1 (mod k-2) bound a k-angulable sub-polygon, so no
+    other is generated.  The multiplicity n * k! / (k * prod(r!)) over the
+    run lengths r of the sorted tuple is the value of :func:`placement_count`,
+    read without its validation.
     """
     f = [kangulation_count(i + 1, k) for i in range(n // 2 + 1)]
-    total = (n // 2) * f[n // 2] ** 2 if n % 2 == 0 else 0
+    if n % 2 == 0:
+        yield DIAMETER, (n // 2) * f[n // 2] ** 2
+    arrangements = n * factorial(k)
     for part in bounded_partitions(n, k, 1, (n - 1) // 2, residue=1 % (k - 2), mod=k - 2):
-        prod = placement_count(part, n)
+        # prod(r!) accumulates as the product of each entry's position in its run
+        symmetry = k
+        run = 0
+        prev = 0
+        prod = 1
         for i in part:
+            run = run + 1 if i == prev else 1
+            symmetry *= run
+            prev = i
             prod *= f[i]
-        total += prod
-    return total
+        yield part, _exact_div(arrangements, symmetry) * prod
+
+
+def _central_sum(n: int, k: int) -> int:
+    """k-angulations of an n-gon grouped by central component: the sum of
+    :func:`_central_terms`."""
+    return sum(count for _, count in _central_terms(n, k))
 
 
 def central_recursion_rhs(n: int) -> int:
@@ -120,10 +147,22 @@ def fixed_vertex_outside_double_sum(n: int) -> int:
 
 
 def dyck_formula(m: int) -> int:
-    """Ballot-number form: sum of T(m,k) T(m,k+1) over 0 <= k < m/2."""
+    """Ballot-number form: sum of T(m,j) T(m,j+1) over 0 <= j < m/2.
+
+    T(m,j) = (m-2j+1)/(m-j+1) * C(m,j), with C(m,j) stepped from C(m,j-1) by
+    the exact ratio (m-j+1)/j instead of one binomial per index.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return sum(ballot_T(m, k) * ballot_T(m, k + 1) for k in range(0, (m + 1) // 2))
+    binom = 1
+    prev = 1  # T(m, 0)
+    total = 0
+    for j in range(1, (m + 1) // 2 + 1):
+        binom = _exact_div(binom * (m - j + 1), j)
+        t = _exact_div((m - 2 * j + 1) * binom, m - j + 1)
+        total += prev * t
+        prev = t
+    return total
 
 
 def dyck_midpoint_uu_bruteforce(s: int) -> int:

@@ -1,12 +1,14 @@
 """CLI subcommands, exit codes, and SVG rendering."""
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from polycenter import Dissection, render_svg
-from polycenter.cli import run
+from polycenter import Dissection, central_census, kangulation_count, render_svg
+from polycenter.cli import ENUMERATION_LIMIT, run
+from polycenter.recursions import _central_terms
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -144,6 +146,75 @@ class TestVerifyCommands:
     def test_congruence_prime_beyond_bound(self, capsys):
         assert run(["verify", "congruence", "--theorem", "modp", "--p", str(2**89 - 1), "--max", "10"]) == 2
         assert "3317044064679887385961981" in capsys.readouterr().err
+
+
+class TestVerifyCensusCommand:
+    @pytest.mark.parametrize(
+        "n,k", [(n, 3) for n in range(3, 12)] + [(n, 4) for n in range(4, 13, 2)]
+    )
+    def test_text_agrees_with_json(self, capsys, n, k):
+        argv = ["verify", "census", str(n), "--k", str(k)]
+        assert run(argv + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "range": {"n": n, "k": k},
+            "cases": len(central_census(n, k)),
+            "passed": True,
+            "counterexample": None,
+        }
+        assert run(argv) == 0
+        assert capsys.readouterr().out == f"census n={n} k={k}: verified {doc['cases']} cases\n"
+
+    def test_counterexample_names_first_mismatching_shape(self, monkeypatch, capsys):
+        def off_by_one(n, k):
+            for shape, count in _central_terms(n, k):
+                yield shape, count + 1 if shape == (2, 4, 4) else count
+
+        monkeypatch.setattr("polycenter.cli._central_terms", off_by_one)
+        assert run(["verify", "census", "10", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False and doc["cases"] == 2
+        assert doc["counterexample"] == {"shape": [2, 4, 4], "expected": "251", "actual": "250"}
+        assert run(["verify", "census", "10"]) == 1
+        assert capsys.readouterr().out == "census n=10 k=3: shape 2,4,4 expected 251, enumerated 250\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["10", "--k", "2"], "k must be >= 3"),
+            (["2"], "need n >= k"),
+            (["-4"], "need n >= k"),
+            (["7", "--k", "4"], "violates n = 2 (mod 2)"),
+        ],
+    )
+    def test_invalid_n_k_rejected(self, capsys, argv, message):
+        assert run(["verify", "census", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+class TestEnumerationLimit:
+    def test_limit_admits_16_gon_and_refuses_17_gon(self):
+        assert kangulation_count(16, 3) <= ENUMERATION_LIMIT < kangulation_count(17, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "30"],
+            ["census", "40", "--k", "4"],
+            ["fixed-vertex", "30", "--brute"],
+            ["verify", "census", "17"],
+        ],
+    )
+    def test_refused_before_enumerating(self, capsys, argv):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"dissections, above the limit of {ENUMERATION_LIMIT}\n" in captured.err
 
 
 class TestCensusCommand:

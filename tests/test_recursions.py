@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from polycenter import (
+    DIAMETER,
+    ballot_T,
     catalan,
     central_recursion_rhs,
     count_vertex0_outside,
@@ -14,10 +16,11 @@ from polycenter import (
     fixed_vertex_outside_double_sum,
     kang_recursion_rhs,
     kangulation_count,
+    placement_count,
     quad_recursion_rhs,
     quadrangulation_count,
 )
-from polycenter.recursions import bounded_partitions
+from polycenter.recursions import _central_terms, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -40,17 +43,37 @@ class TestBoundedPartitions:
             assert all(1 <= p <= 9 for p in part)
 
     def test_matches_exhaustive_reference(self):
-        # grid covers parts 0 and 1, smallest > total, total > largest and
-        # residue mismatches, so every base case runs on empty and non-empty results
-        grid = product(range(0, 13), range(0, 5), range(0, 4), range(0, 8), range(0, 3), (1, 2, 3))
-        for total, parts, smallest, largest, residue, mod in grid:
-            expected = [
-                c
-                for c in combinations_with_replacement(range(smallest, largest + 1), parts)
-                if sum(c) == total and all((v - residue) % mod == 0 for v in c)
-            ]
-            got = list(bounded_partitions(total, parts, smallest, largest, residue, mod))
-            assert got == expected, (total, parts, smallest, largest, residue, mod)
+        # grid covers parts 0, 1 and 2, smallest > total, total > largest,
+        # largest < total - smallest and residue mismatches, so every base case
+        # runs on empty and non-empty results
+        for parts, smallest, largest, residue, mod in product(
+            range(0, 6), range(0, 4), range(0, 8), range(0, 3), (1, 2, 3)
+        ):
+            by_total = {}
+            for c in combinations_with_replacement(range(smallest, largest + 1), parts):
+                if all((v - residue) % mod == 0 for v in c):
+                    by_total.setdefault(sum(c), []).append(c)
+            for total in range(0, 17):
+                got = list(bounded_partitions(total, parts, smallest, largest, residue, mod))
+                assert got == by_total.get(total, []), (total, parts, smallest, largest, residue, mod)
+
+
+class TestCentralTerms:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_terms_match_placement_formula(self, k):
+        for n in range(k, 61, k - 2):
+            terms = list(_central_terms(n, k))
+            if n % 2 == 0:
+                shape, count = terms.pop(0)
+                assert shape == DIAMETER
+                assert count == (n // 2) * kangulation_count(n // 2 + 1, k) ** 2
+            shapes = [shape for shape, _ in terms]
+            assert shapes == sorted(shapes) and len(set(shapes)) == len(shapes)
+            for shape, count in terms:
+                expected = placement_count(shape, n)
+                for part in shape:
+                    expected *= kangulation_count(part + 1, k)
+                assert count == expected, (n, k, shape)
 
 
 class TestCentralRecursion:
@@ -120,6 +143,11 @@ class TestDyck:
         assert dyck_formula(2) == 1
         assert dyck_formula(3) == 2
         assert dyck_formula(4) == 9
+
+    def test_formula_matches_ballot_numbers(self):
+        for m in range(0, 401):
+            expected = sum(ballot_T(m, j) * ballot_T(m, j + 1) for j in range(0, (m + 1) // 2))
+            assert dyck_formula(m) == expected, m
 
     def test_bruteforce_examples(self):
         assert dyck_midpoint_uu_bruteforce(1) == 0
