@@ -129,13 +129,11 @@ def _verify_congruence(args) -> int:
 
 def _verify_census(args) -> int:
     n, k = args.n, args.k
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    _preflight(n, k)  # also rejects k < 3
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if (n - 2) % (k - 2):
         raise ValueError(f"n={n} violates n = 2 (mod {k - 2})")
-    _preflight(n, k)
     expected = {shape: count for shape, count in _central_terms(n, k) if count}
     enumerated = {e.key: e.count for e in central_census(n, k)}
     shapes = sorted(expected.keys() | enumerated.keys(), key=_key_order)
