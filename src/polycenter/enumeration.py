@@ -1,63 +1,70 @@
 """Brute-force enumeration of dissections and the central-component census.
 
 These generators are the ground-truth oracle: they build every dissection
-explicitly by recursive cell choice on a base edge and never consult the
-closed-form counts they are used to check.
+explicitly by cell choice on a base edge and never consult the closed-form
+counts they are used to check.  A region is the run of vertex labels lo..hi
+on its base edge (lo, hi); a cell picks k-2 labels inside it, and each side
+of the cell that is a diagonal is the next region to fill.
+
+:func:`_classified` walks these choices depth-first on one explicit stack,
+appending to one list of diagonals and truncating it to backtrack, so the
+first dissection comes after polynomial work and the stream stays lazy.  A
+per-call cell table lists each interval's admissible cells once, with their
+diagonals and central classification, on the interval's first entry; it
+holds cells, not dissections, and is dropped when the generator ends.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
 from .model import DIAMETER, CentralComponent, Dissection, contains_vertex, face_arcs
 
 
-def _regions(lo: int, hi: int, k: int, n: int) -> Iterator:
-    """Yield ``(diagonals, central)`` for every k-angulation of the interval ``lo..hi``.
+def _cells(lo: int, hi: int, k: int, n: int) -> list:
+    """Every admissible cell on the base edge (lo, hi), each classified once.
 
-    The region is the sub-polygon on the vertex labels lo, lo+1, ..., hi with
-    base edge (lo, hi); the caller has checked that hi - lo - 1 is a multiple
-    of k - 2, and hi = lo + 1 is an edge that dissects trivially.
-    ``central`` is the :class:`CentralComponent` of the n-gon when it lies
-    inside the region, else None.  Each cell is classified once, as it is
-    chosen, and shared by every dissection that contains it.
+    A cell is ``(lo, *mids, hi)`` with k-2 labels chosen inside the interval,
+    admissible when each of its sides has a multiple of k-2 labels strictly
+    inside it.  Each entry is ``(diagonals, sides, central)``: the cell's own
+    diagonals, the same diagonals reversed (the sides still to fill, in push
+    order), and the :class:`CentralComponent` of the n-gon when the cell is
+    it or has it as a side, else None.
     """
-    if hi - lo == 1:
-        yield (), None
-        return
+    out = []
     for mids in combinations(range(lo + 1, hi), k - 2):
         cell = (lo, *mids, hi)
         sides = tuple(zip(cell, cell[1:]))
         if any((b - a - 1) % (k - 2) for a, b in sides):
             continue
         cell_diags = tuple((a, b) for a, b in sides if b - a > 1)
-        cell_central = None
+        central = None
         for a, b in cell_diags:
             if 2 * (b - a) == n:
-                cell_central = CentralComponent(n, diameter=(a, b))
-        if cell_central is None and all(2 * a < n for a in face_arcs(cell, n)):
-            cell_central = CentralComponent(n, cell=cell)
-        sub = [list(_regions(a, b, k, n)) for a, b in sides]
-        for parts in product(*sub):
-            diags = cell_diags
-            central = cell_central
-            for p, c in parts:
-                diags += p
-                if c is not None:
-                    if central is not None:
-                        raise AssertionError(f"two central components {central} and {c}")
-                    central = c
-            yield diags, central
+                central = CentralComponent(n, diameter=(a, b))
+        if central is None and all(2 * a < n for a in face_arcs(cell, n)):
+            central = CentralComponent(n, cell=cell)
+        out.append((cell_diags, cell_diags[::-1], central))
+    return out
 
 
 def _classified(n: int, k: int) -> Iterator:
     """Every k-angulation of the n-gon as ``(diagonals, central)``, exactly once.
 
     Empty stream when n fails the parity constraint n = 2 (mod k-2).
+
+    Depth-first on one explicit stack, one cell choice per step.  ``diags``
+    is the one list of diagonals chosen so far, and ``pending`` the intervals
+    still to fill, a cons stack ``((lo, hi), rest)`` that frames share.  A
+    frame ``(cells, i, pending, mark, central)`` resumes an interval at its
+    i-th cell: it restores ``pending``, truncates ``diags`` to ``mark`` and
+    restores the central component found so far.  An interval's last cell
+    pushes no frame.  The cells of an interval come from :func:`_cells` on
+    its first entry and are reused until the call ends.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -65,10 +72,37 @@ def _classified(n: int, k: int) -> Iterator:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if (n - 2) % (k - 2):
         return
-    for diags, central in _regions(0, n - 1, k, n):
-        if central is None:
-            raise AssertionError(f"no central component in {diags}")
-        yield diags, central
+    table: dict = {}
+    diags: list = []
+    stack: list = []
+    pending = ((0, n - 1), None)
+    central = None
+    while True:
+        if pending is None:
+            if central is None:
+                raise AssertionError(f"no central component in {tuple(diags)}")
+            yield tuple(diags), central
+            if not stack:
+                return
+            cells, i, pending, mark, central = stack.pop()
+            del diags[mark:]
+        else:
+            interval, pending = pending
+            cells = table.get(interval)
+            if cells is None:
+                cells = table[interval] = _cells(*interval, k, n)
+            i = 0
+            mark = len(diags)
+        if i + 1 < len(cells):
+            stack.append((cells, i + 1, pending, mark, central))
+        cell_diags, sides, cell_central = cells[i]
+        diags += cell_diags
+        if cell_central is not None:
+            if central is not None:
+                raise AssertionError(f"two central components {central} and {cell_central}")
+            central = cell_central
+        for side in sides:
+            pending = (side, pending)
 
 
 def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:

@@ -81,7 +81,7 @@ def test_criterion_3_kang_recursion():
 def test_criterion_4_oracle_census():
     def body():
         cases = (
-            [(n, 3) for n in range(3, 16)]
+            [(n, 3) for n in range(3, 17)]
             + [(n, 4) for n in range(4, 19, 2)]
             + [(n, 5) for n in range(5, 21, 3)]
             + [(n, 6) for n in range(6, 23, 4)]

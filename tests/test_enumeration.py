@@ -1,5 +1,8 @@
 """Brute-force generators and the central-component census."""
 
+import time
+from itertools import combinations, product
+
 import pytest
 
 from polycenter import (
@@ -14,8 +17,49 @@ from polycenter import (
     kangulation_count,
     placement_count,
 )
-from polycenter.enumeration import _regions
-from polycenter.model import Dissection, central_component
+from polycenter.enumeration import _classified
+from polycenter.model import CentralComponent, Dissection, central_component, face_arcs
+
+
+def _reference_regions(lo, hi, k, n):
+    """Recursive reference for the stream of ``_classified``.
+
+    Yields ``(diagonals, central)`` for every k-angulation of the interval
+    lo..hi on base edge (lo, hi): for each cell in ``combinations`` order,
+    the cell's diagonals followed by the product of its sides' streams, the
+    last side varying fastest.
+    """
+    if hi - lo == 1:
+        yield (), None
+        return
+    for mids in combinations(range(lo + 1, hi), k - 2):
+        cell = (lo, *mids, hi)
+        sides = tuple(zip(cell, cell[1:]))
+        if any((b - a - 1) % (k - 2) for a, b in sides):
+            continue
+        cell_diags = tuple((a, b) for a, b in sides if b - a > 1)
+        cell_central = None
+        for a, b in cell_diags:
+            if 2 * (b - a) == n:
+                cell_central = CentralComponent(n, diameter=(a, b))
+        if cell_central is None and all(2 * a < n for a in face_arcs(cell, n)):
+            cell_central = CentralComponent(n, cell=cell)
+        sub = [list(_reference_regions(a, b, k, n)) for a, b in sides]
+        for parts in product(*sub):
+            diags = cell_diags
+            central = cell_central
+            for p, c in parts:
+                diags += p
+                if c is not None:
+                    assert central is None, (central, c)
+                    central = c
+            yield diags, central
+
+
+def _reference_classified(n, k):
+    if (n - 2) % (k - 2):
+        return []
+    return list(_reference_regions(0, n - 1, k, n))
 
 
 class TestTriangulations:
@@ -72,15 +116,39 @@ class TestClassifiedStream:
         "n,k",
         [(n, 3) for n in range(3, 12)]
         + [(n, 4) for n in range(4, 13, 2)]
-        + [(n, 5) for n in (5, 8, 11)],
+        + [(n, 5) for n in (5, 8, 11)]
+        + [(n, 6) for n in (6, 10)],
     )
     def test_agrees_with_faces(self, n, k):
-        stream = list(_regions(0, n - 1, k, n))
+        stream = list(_classified(n, k))
         for diags, central in stream:
             assert central == central_component(Dissection(n, diags, k)), diags
         got = {frozenset(diags) for diags, _ in stream}
         assert len(got) == len(stream) == kangulation_count(n, k)
         assert got == {d.diagonals for d in enumerate_kangulations(n, k)}
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, 3) for n in range(3, 13)] + [(n, k) for k in (4, 5, 6) for n in range(k, 15)],
+    )
+    def test_matches_recursive_reference(self, n, k):
+        """Same tuples, same order, same central components as the recursion."""
+        got = list(_classified(n, k))
+        want = _reference_classified(n, k)
+        assert len(got) == len(want)
+        for (diags, central), (ref_diags, ref_central) in zip(got, want):
+            assert type(diags) is tuple
+            assert diags == ref_diags
+            assert central == ref_central, diags
+
+    @pytest.mark.parametrize("n,k", [(16, 3), (40, 3), (40, 4), (41, 5), (42, 6)])
+    def test_first_object_is_lazy(self, n, k):
+        """The first dissection comes without enumerating the rest."""
+        start = time.perf_counter()
+        first = next(enumerate_kangulations(n, k))
+        elapsed = time.perf_counter() - start
+        assert len(first.diagonals) == (n - 2) // (k - 2) - 1
+        assert elapsed < 5.0, elapsed
 
 
 class TestCensus:
