@@ -3,17 +3,18 @@
 Each verifier sweeps a parameter range, compares predicted against actual
 residues, and returns a machine-readable report carrying the number of
 indices compared and the first counterexample (in index order) if any.  The
-actual residues are reduced from exact values, which one Fuss-Catalan ratio
-sweep supplies for the whole range.
+actual residues are computed exactly, never predicted: one sweep steps the
+Fuss-Catalan ratio F(m+1)/F(m) of ``fuss_catalan_sweep`` in the form
+F(m) = p**v * num / den, with v the exact p-adic valuation and the p-free
+num and den kept mod p**e, so no value grows with the range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
-from .sequences import fuss_catalan_sweep
+from .sequences import _ratio_factors
 
 
 class Theorem(Enum):
@@ -107,11 +108,34 @@ def _first_mismatch(cases) -> "tuple[dict | None, int]":
     return None, compared
 
 
-def _fuss_catalan_at(ms: range, k: int = 2):
-    """(m, fuss_catalan(m, k)) for each m of the range ms, all read from one sweep."""
-    if not ms:
-        return ()
-    return zip(ms, islice(fuss_catalan_sweep(ms[-1], k), ms.start, None, ms.step))
+def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
+    """(m, fuss_catalan(m, k) % p**e) for each m of the range ms, from one exact residue sweep.
+
+    The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
+    num, den prime to p and reduced mod q = p**e.  Each ratio step strips
+    the powers of p from its small factors into v and multiplies the rests
+    into num and den.  den is inverted only at the indices of ms, so every
+    index up to ms[-1] costs a few operations on numbers below q * k * ms[-1].
+    """
+    q = p**e
+    v, num, den, m = 0, 1, 1, 0
+    for target in ms:
+        while m < target:
+            top, bottom = _ratio_factors(m, k)
+            for x in top:
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                num = num * x % q
+            for x in bottom:
+                while x % p == 0:
+                    x //= p
+                    v -= 1
+                den = den * x % q
+            m += 1
+        if v < 0:
+            raise AssertionError(f"fuss_catalan({m}, {k}) has negative {p}-adic valuation {v}")
+        yield m, 0 if v >= e else p**v * num * pow(den, -1, q) % q
 
 
 def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None) -> VerificationReport:
@@ -125,20 +149,17 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
         raise ValueError("max_n must be >= 0")
     bounds = {"max_n": max_n}
     if theorem is Theorem.ODD_CHARACTERIZATION:
-        cases = (
-            ({"n": n}, predict_mod2(n), c % 2) for n, c in _fuss_catalan_at(range(max_n + 1))
-        )
+        residues = _fuss_catalan_residues(range(max_n + 1), 2, p=2, e=1)
+        cases = (({"n": n}, predict_mod2(n), r) for n, r in residues)
     elif theorem is Theorem.MOD4_CLASSIFICATION:
-        cases = (
-            ({"n": n}, predict_mod4(n), c % 4) for n, c in _fuss_catalan_at(range(max_n + 1))
-        )
+        residues = _fuss_catalan_residues(range(max_n + 1), 2, p=2, e=2)
+        cases = (({"n": n}, predict_mod4(n), r) for n, r in residues)
     elif theorem is Theorem.MODP_CATALAN:
         if p is None or p < 5 or not is_prime(p):
             raise ValueError("MODP_CATALAN requires a prime p >= 5")
         bounds["p"] = p
-        cases = (
-            ({"n": n}, 0, c % p) for n, c in _fuss_catalan_at(range(p - 2, max_n + 1, p))
-        )
+        residues = _fuss_catalan_residues(range(p - 2, max_n + 1, p), 2, p=p, e=1)
+        cases = (({"n": n}, 0, r) for n, r in residues)
     elif theorem is Theorem.MODP_KANGULATION:
         if k is None or k < 3:
             raise ValueError("MODP_KANGULATION requires k >= 3")
@@ -155,9 +176,8 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
             ms = range(-2 * pow(step, -1, p) % p, (max_n - 2) // step + 1, p)
         else:
             ms = range(0)
-        cases = (
-            ({"n": step * m + 2}, 0, c % p) for m, c in _fuss_catalan_at(ms, k - 1)
-        )
+        residues = _fuss_catalan_residues(ms, k - 1, p=p, e=1)
+        cases = (({"n": step * m + 2}, 0, r) for m, r in residues)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
     counterexample, compared = _first_mismatch(cases)

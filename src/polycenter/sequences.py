@@ -73,13 +73,17 @@ def fuss_catalan_sweep(max_m: int, k: int = 2):
     return _fuss_catalan_ratios(max_m, k)
 
 
+def _ratio_factors(m: int, k: int):
+    """The small factors of F(m+1)/F(m), as (numerator factors, denominator factors)."""
+    return range(k * m + 1, k * m + k + 1), (m + 1, *range((k - 1) * m + 2, (k - 1) * m + k + 1))
+
+
 def _fuss_catalan_ratios(max_m: int, k: int):
     value = 1
     yield value
     for m in range(max_m):
-        num = prod(range(k * m + 1, k * m + k + 1))
-        den = (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1))
-        value = _exact_div(value * num, den)
+        num, den = _ratio_factors(m, k)
+        value = _exact_div(value * prod(num), prod(den))
         yield value
 
 
@@ -126,8 +130,9 @@ def catalan_mod(n: int, m: int) -> int:
     """C(n) mod m for one n >= 0, reduced from the exact value catalan(n).
 
     Unlike catalan, a negative n raises ValueError.  Each call computes one
-    binomial; for residues over a range of n, reduce the values of
-    fuss_catalan_sweep instead.
+    binomial.  For residues over a range of n, the congruence verifiers step
+    the ratio of fuss_catalan_sweep in residues mod p**e instead, with the
+    powers of p counted exactly and no bigint.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and SVG rendering."""
 
+import hashlib
 import json
 import time
 import xml.etree.ElementTree as ET
@@ -283,6 +284,14 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err == "internal error: two central components\n"
 
+    def test_negative_valuation_in_residue_sweep_exits_3(self, monkeypatch, capsys):
+        # Ratio factors that divide by 2 at every step drive v_2 below zero.
+        monkeypatch.setattr("polycenter.congruences._ratio_factors", lambda m, k: ((1,), (2,)))
+        assert run(["verify", "congruence", "--theorem", "odd", "--max", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: fuss_catalan(1, 2) has negative 2-adic valuation -1\n"
+
 
 class TestSvgDocument:
     def test_well_formed_with_vertex_markers(self):
@@ -297,6 +306,23 @@ class TestSvgDocument:
         d1 = Dissection(8, {(0, 2), (2, 4), (4, 6), (0, 4), (0, 6)})
         d2 = Dissection(8, [(6, 4), (2, 0), (4, 2), (4, 0), (6, 0)])
         assert render_svg(d1) == render_svg(d2)
+
+    @pytest.mark.parametrize(
+        "n, diagonals, highlight, digest",
+        [
+            (12, FIGURE_STYLE_12GON, True, "34b32ed55b7c26c6f7bdcda8f61d3adc8000bf844d4e6a9ab386ea5813de8418"),
+            (12, FIGURE_STYLE_12GON, False, "71fe8b22d902ce229ce9079ed70587874b862d1570472f3df2875246c3d8fda8"),
+            (6, "0-3,0-2,3-5", True, "53ea8074df1b8e93b8d3a5a32f33f5682c6e138f69b63a1cedddc2c8ed266126"),
+            (6, "0-3,0-2,3-5", False, "3b4846a18baf7ebf83e71fc1bd8ab2dca25f8d891e6df891ba06c46ba9a0fc74"),
+        ],
+    )
+    def test_bytes_match_pinned_digest(self, n, diagonals, highlight, digest):
+        # Pinned digests keep the output byte-identical across versions, not
+        # only within one process: the README 12-gon and a diameter case.
+        from polycenter import parse_diagonals
+
+        svg = render_svg(Dissection(n, parse_diagonals(diagonals)), highlight_central=highlight)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_figure_style_central_triangle(self):
         from polycenter import central_component, face_arcs, parse_diagonals

@@ -1,5 +1,7 @@
 """Congruence predictors and verification reports."""
 
+import time
+
 import pytest
 
 import polycenter.congruences
@@ -12,7 +14,8 @@ from polycenter import (
     predict_mod4,
     verify_congruence,
 )
-from polycenter.congruences import _PRIME_TEST_LIMIT, _first_mismatch, is_prime
+from polycenter.congruences import _PRIME_TEST_LIMIT, _first_mismatch, _fuss_catalan_residues, is_prime
+from polycenter.sequences import fuss_catalan_sweep
 
 
 class TestPredictors:
@@ -200,3 +203,48 @@ class TestCasesChecked:
         assert verify_congruence(Theorem.MOD4_CLASSIFICATION, 700).passed
         assert verify_congruence(Theorem.MODP_CATALAN, 700, p=11).passed
         assert verify_congruence(Theorem.MODP_KANGULATION, 700, p=5, k=4).passed
+
+
+class TestResidueSweep:
+    """The residue sweep against exact values reduced mod p**e."""
+
+    M = 1500
+    MODULI = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (101, 1), (127, 1)]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_reduced_exact_values(self, k):
+        exact = list(fuss_catalan_sweep(self.M, k))
+        for p, e in self.MODULI:
+            q = p**e
+            dense = list(_fuss_catalan_residues(range(self.M + 1), k, p=p, e=e))
+            assert dense == [(m, x % q) for m, x in enumerate(exact)], (k, p, e)
+            sparse = [
+                range(p - 2, self.M + 1, p),
+                range(7, self.M + 1, 97),
+                range(self.M, self.M + 1),
+                range(0, 1),
+            ]
+            for ms in sparse:
+                assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == [(m, exact[m] % q) for m in ms]
+            for ms in (range(0), range(9, 3), range(self.M + 1, self.M + 1)):
+                assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == []
+
+
+class TestScaling:
+    """Each sweep costs O(max_n) small-int steps; a bigint sweep grows quadratically."""
+
+    BUDGET_S = 10
+
+    def test_odd_characterization_to_200000(self):
+        start = time.perf_counter()
+        report = verify_congruence(Theorem.ODD_CHARACTERIZATION, 200_000)
+        elapsed = time.perf_counter() - start
+        assert report.passed and report.cases == 200_001
+        assert elapsed < self.BUDGET_S, elapsed
+
+    def test_sparse_modp_to_300000(self):
+        start = time.perf_counter()
+        report = verify_congruence(Theorem.MODP_CATALAN, 300_000, p=10007)
+        elapsed = time.perf_counter() - start
+        assert report.passed and report.cases == len(modp_indices(10007, 300_000))
+        assert elapsed < self.BUDGET_S, elapsed
