@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
-from .sequences import _ratio_factors
+from .sequences import _ratios
 
 
 class Theorem(Enum):
@@ -113,26 +114,25 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
     num, den prime to p and reduced mod q = p**e.  Each ratio step strips
-    the powers of p from its small factors into v and multiplies the rests
-    into num and den.  den is inverted only at the indices of ms, so every
-    index up to ms[-1] costs a few operations on numbers below q * k * ms[-1].
+    the powers of p from its numerator and denominator, each a product of
+    k small factors, into v and multiplies the rests into num and den.  den
+    is inverted only at the indices of ms, so every index up to ms[-1]
+    costs a few operations on numbers that do not grow with the range.
     """
     q = p**e
+    ratios = _ratios(k)
     v, num, den, m = 0, 1, 1, 0
     for target in ms:
-        while m < target:
-            top, bottom = _ratio_factors(m, k)
-            for x in top:
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                num = num * x % q
-            for x in bottom:
-                while x % p == 0:
-                    x //= p
-                    v -= 1
-                den = den * x % q
-            m += 1
+        for top, bottom in islice(ratios, target - m):
+            while top % p == 0:
+                top //= p
+                v += 1
+            while bottom % p == 0:
+                bottom //= p
+                v -= 1
+            num = num * top % q
+            den = den * bottom % q
+        m = target
         if v < 0:
             raise AssertionError(f"fuss_catalan({m}, {k}) has negative {p}-adic valuation {v}")
         yield m, 0 if v >= e else p**v * num * pow(den, -1, q) % q

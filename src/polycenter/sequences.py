@@ -9,6 +9,7 @@ every function total.  Divisions in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, prod
 
 
@@ -73,17 +74,19 @@ def fuss_catalan_sweep(max_m: int, k: int = 2):
     return _fuss_catalan_ratios(max_m, k)
 
 
-def _ratio_factors(m: int, k: int):
-    """The small factors of F(m+1)/F(m), as (numerator factors, denominator factors)."""
-    return range(k * m + 1, k * m + k + 1), (m + 1, *range((k - 1) * m + 2, (k - 1) * m + k + 1))
+def _ratios(k: int):
+    """F(m+1)/F(m) for m = 0, 1, 2, ... as (numerator, denominator), products of k small ints."""
+    for m in count():
+        num = prod(range(k * m + 1, k * m + k + 1))
+        den = (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1))
+        yield num, den
 
 
 def _fuss_catalan_ratios(max_m: int, k: int):
     value = 1
     yield value
-    for m in range(max_m):
-        num, den = _ratio_factors(m, k)
-        value = _exact_div(value * prod(num), prod(den))
+    for num, den in islice(_ratios(k), max_m):
+        value = _exact_div(value * num, den)
         yield value
 
 

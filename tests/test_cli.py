@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 import xml.etree.ElementTree as ET
+from itertools import repeat
 
 import pytest
 
@@ -285,8 +286,8 @@ class TestInternalError:
         assert captured.err == "internal error: two central components\n"
 
     def test_negative_valuation_in_residue_sweep_exits_3(self, monkeypatch, capsys):
-        # Ratio factors that divide by 2 at every step drive v_2 below zero.
-        monkeypatch.setattr("polycenter.congruences._ratio_factors", lambda m, k: ((1,), (2,)))
+        # A ratio that divides by 2 at every step drives v_2 below zero.
+        monkeypatch.setattr("polycenter.congruences._ratios", lambda k: repeat((1, 2)))
         assert run(["verify", "congruence", "--theorem", "odd", "--max", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
