@@ -76,10 +76,11 @@ def fuss_catalan_sweep(max_m: int, k: int = 2):
 
 def _ratios(k: int):
     """F(m+1)/F(m) for m = 0, 1, 2, ... as (numerator, denominator), products of k small ints."""
-    for m in count():
-        num = prod(range(k * m + 1, k * m + k + 1))
-        den = (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1))
-        yield num, den
+    top, bottom = 1, 2  # the first factors, km + 1 and (k-1)m + 2, of the two products
+    for m_plus_1 in count(1):
+        yield prod(range(top, top + k)), m_plus_1 * prod(range(bottom, bottom + k - 1))
+        top += k
+        bottom += k - 1
 
 
 def _fuss_catalan_ratios(max_m: int, k: int):
