@@ -40,6 +40,11 @@ from .svg import render_svg
 #: triangulations of the 16-gon and refuses the 9,694,845 of the 17-gon.
 ENUMERATION_LIMIT = 3_000_000
 
+#: Largest --max that verify congruence accepts.  Its residue sweep costs a
+#: few µs an index, so a run at the limit ends in about 30 s, where
+#: --max 1000000000000 would run for weeks.
+CONGRUENCE_LIMIT = 10_000_000
+
 
 def _finish(value, args) -> int:
     print(value)
@@ -116,6 +121,8 @@ def _verify_recursion(args) -> int:
 
 
 def _verify_congruence(args) -> int:
+    if args.max > CONGRUENCE_LIMIT:
+        raise ValueError(f"max={args.max} is above the limit of {CONGRUENCE_LIMIT}")
     theorem = Theorem(args.theorem)
     report = verify_congruence(theorem, args.max, p=args.p, k=args.k)
     if args.json:

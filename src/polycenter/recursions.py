@@ -26,10 +26,6 @@ def bounded_partitions(
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        if smallest <= total <= largest and (total - residue) % mod == 0:
-            yield (total,)
-        return
     if parts == 2:
         # first <= total - first <= largest; both parts share the residue
         if (total - 2 * residue) % mod:

@@ -1,9 +1,10 @@
 """Exact closed-form sequence values.
 
-All functions return Python ints (arbitrary precision).  Arguments that may
-arise as half-integers in the recursions can be passed as ``Fraction``;
-non-integer arguments map to 0 per the sequence conventions, which keeps
-every function total.  Divisions in closed forms are checked to be exact.
+All functions return Python ints (arbitrary precision).  The counts
+catalan, quadrangulation_count and kangulation_count also take a
+``Fraction``: a non-integer index maps to 0 per the sequence conventions,
+as a negative one does, and any other non-int raises TypeError.  Divisions
+in closed forms are checked to be exact.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def catalan(n) -> int:
-    """Catalan number C(n) = fuss_catalan(n, 2); 0 for negative or non-integer n."""
-    i = _integral(n)
-    if i is None or i < 0:
-        return 0
-    return fuss_catalan(i, 2)
+    """Catalan number C(n): the triangulations of an (n+2)-gon, kangulation_count(n + 2, 3).
+
+    0 for negative or non-integer n.
+    """
+    return kangulation_count(n + 2, 3)
 
 
 def fuss_catalan(n: int, k: int) -> int:
@@ -92,15 +93,11 @@ def _fuss_catalan_ratios(max_m: int, k: int):
 
 
 def quadrangulation_count(n) -> int:
-    """Number of quadrangulations of a (2n+2)-gon: fuss_catalan(n, 3).
+    """Number of quadrangulations of a (2n+2)-gon: kangulation_count(2 * n + 2, 4).
 
-    Returns 0 unless n is a nonnegative integer (half-integer call sites in
-    the diameter terms rely on this).
+    Returns 0 unless n is a nonnegative integer.
     """
-    i = _integral(n)
-    if i is None or i < 0:
-        return 0
-    return fuss_catalan(i, 3)
+    return kangulation_count(2 * n + 2, 4)
 
 
 def kangulation_count(n, k: int = 3) -> int:

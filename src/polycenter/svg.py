@@ -17,28 +17,6 @@ def _fmt(v: float) -> str:
     return "0.00000" if s == "-0.00000" else s
 
 
-def _vertex_xy(i: int, n: int, radius: float = 1.0):
-    theta = math.pi / 2 - 2 * math.pi * i / n
-    return radius * math.cos(theta), -radius * math.sin(theta)
-
-
-def _points(vertices, n: int) -> str:
-    parts = []
-    for v in vertices:
-        x, y = _vertex_xy(v, n)
-        parts.append(f"{_fmt(x)},{_fmt(y)}")
-    return " ".join(parts)
-
-
-def _line(a: int, b: int, n: int, cls: str, stroke: str, width: str) -> str:
-    x1, y1 = _vertex_xy(a, n)
-    x2, y2 = _vertex_xy(b, n)
-    return (
-        f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-        f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
-    )
-
-
 def render_svg(d: Dissection, highlight_central: bool = True) -> str:
     """Render the dissection as an SVG document string.
 
@@ -47,37 +25,46 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
     cut the polygon into k-gons, else ValueError.
     """
     n = d.n
+    central = central_component(d)
+    # each vertex's unit-circle position, computed and formatted once
+    unit = []
+    for v in range(n):
+        theta = math.pi / 2 - 2 * math.pi * v / n
+        unit.append((math.cos(theta), -math.sin(theta)))
+    xs, ys = zip(*(map(_fmt, p) for p in unit))
+
+    def points(vertices) -> str:
+        return " ".join(f"{xs[v]},{ys[v]}" for v in vertices)
+
+    def line(a: int, b: int, cls: str, stroke: str, width: str) -> str:
+        return (
+            f'<line class="{cls}" x1="{xs[a]}" y1="{ys[a]}" '
+            f'x2="{xs[b]}" y2="{ys[b]}" stroke="{stroke}" stroke-width="{width}"/>'
+        )
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.3 -1.3 2.6 2.6" width="520" height="520">',
     ]
-    central = central_component(d)
-    cell = central.cell if highlight_central else None
-    diameter = central.diameter if highlight_central else None
-    if cell is not None:
+    if highlight_central and central.cell is not None:
         lines.append(
-            f'<polygon class="central" points="{_points(cell, n)}" '
+            f'<polygon class="central" points="{points(central.cell)}" '
             'fill="#ffd24d" fill-opacity="0.65" stroke="#c0392b" stroke-width="0.02"/>'
         )
     lines.append(
-        f'<polygon class="outline" points="{_points(range(n), n)}" '
+        f'<polygon class="outline" points="{points(range(n))}" '
         'fill="none" stroke="#202020" stroke-width="0.012"/>'
     )
-    for x, y in d.sorted_diagonals():
-        lines.append(_line(x, y, n, "diagonal", "#2b6cb0", "0.012"))
-    if diameter is not None:
-        lines.append(_line(*diameter, n, "central", "#c0392b", "0.03"))
+    for a, b in d.sorted_diagonals():
+        lines.append(line(a, b, "diagonal", "#2b6cb0", "0.012"))
+    if highlight_central and central.diameter is not None:
+        lines.append(line(*central.diameter, "central", "#c0392b", "0.03"))
     for v in range(n):
-        x, y = _vertex_xy(v, n)
+        lines.append(f'<circle class="vertex" cx="{xs[v]}" cy="{ys[v]}" r="0.03" fill="#202020"/>')
+    for v, (vx, vy) in enumerate(unit):
         lines.append(
-            f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.03" '
-            'fill="#202020"/>'
-        )
-    for v in range(n):
-        x, y = _vertex_xy(v, n, radius=1.15)
-        lines.append(
-            f'<text class="label" x="{_fmt(x)}" y="{_fmt(y + 0.04)}" '
+            f'<text class="label" x="{_fmt(1.15 * vx)}" y="{_fmt(1.15 * vy + 0.04)}" '
             'font-size="0.12" text-anchor="middle" font-family="sans-serif">'
             f"{v}</text>"
         )

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from itertools import repeat
@@ -9,12 +11,18 @@ from itertools import repeat
 import pytest
 
 from polycenter import Dissection, central_census, kangulation_count, render_svg
-from polycenter.cli import ENUMERATION_LIMIT, run
+from polycenter.cli import CONGRUENCE_LIMIT, ENUMERATION_LIMIT, run
 from polycenter.recursions import _central_terms
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 FIGURE_STYLE_12GON = "0-3,3-7,0-7,0-2,3-5,5-7,7-9,9-11,7-11"
+
+# zigzag triangulation of the 25-gon; its central triangle is (6, 7, 19)
+ZIGZAG_25GON = (
+    "1-24,2-24,2-23,3-23,3-22,4-22,4-21,5-21,5-20,6-20,6-19,"
+    "7-19,7-18,8-18,8-17,9-17,9-16,10-16,10-15,11-15,11-14,12-14"
+)
 
 
 def elements_with_class(svg_text, cls):
@@ -219,6 +227,24 @@ class TestEnumerationLimit:
         assert f"dissections, above the limit of {ENUMERATION_LIMIT}\n" in captured.err
 
 
+class TestCongruenceLimit:
+    @pytest.mark.parametrize(
+        "theorem", [["odd"], ["mod4"], ["modp", "--p", "7"], ["kangp", "--p", "5", "--k", "4"]]
+    )
+    def test_refused_before_sweeping(self, theorem):
+        # A subprocess with a timeout fails, rather than hangs, if the
+        # refusal is lost and the sweep starts.
+        argv = ["verify", "congruence", "--theorem", *theorem, "--max", "1000000000000"]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: max=1000000000000 is above the limit of {CONGRUENCE_LIMIT}\n"
+
+
 class TestCensusCommand:
     def test_json(self, capsys):
         assert run(["census", "6", "--k", "3", "--json"]) == 0
@@ -309,20 +335,27 @@ class TestSvgDocument:
         assert render_svg(d1) == render_svg(d2)
 
     @pytest.mark.parametrize(
-        "n, diagonals, highlight, digest",
+        "n, diagonals, highlight, digest, k",
         [
-            (12, FIGURE_STYLE_12GON, True, "34b32ed55b7c26c6f7bdcda8f61d3adc8000bf844d4e6a9ab386ea5813de8418"),
-            (12, FIGURE_STYLE_12GON, False, "71fe8b22d902ce229ce9079ed70587874b862d1570472f3df2875246c3d8fda8"),
-            (6, "0-3,0-2,3-5", True, "53ea8074df1b8e93b8d3a5a32f33f5682c6e138f69b63a1cedddc2c8ed266126"),
-            (6, "0-3,0-2,3-5", False, "3b4846a18baf7ebf83e71fc1bd8ab2dca25f8d891e6df891ba06c46ba9a0fc74"),
+            (12, FIGURE_STYLE_12GON, True, "34b32ed55b7c26c6f7bdcda8f61d3adc8000bf844d4e6a9ab386ea5813de8418", 3),
+            (12, FIGURE_STYLE_12GON, False, "71fe8b22d902ce229ce9079ed70587874b862d1570472f3df2875246c3d8fda8", 3),
+            (6, "0-3,0-2,3-5", True, "53ea8074df1b8e93b8d3a5a32f33f5682c6e138f69b63a1cedddc2c8ed266126", 3),
+            (6, "0-3,0-2,3-5", False, "3b4846a18baf7ebf83e71fc1bd8ab2dca25f8d891e6df891ba06c46ba9a0fc74", 3),
+            (10, "0-3,3-6,6-9", True, "9de7154edb9208068bec2cd1431111f47bca28bdff1026243dc136570a310d6a", 4),
+            (10, "0-3,3-6,6-9", False, "28214478ba475a96d815b5ff708124603cf5c1273675e7c3466cb16bbc9389a4", 4),
+            (10, "0-5,0-3,5-8", True, "933a8d63ce58d3f9a2977500f072ecd5da042da35db5180afb2e8af19618dddf", 4),
+            (10, "0-5,0-3,5-8", False, "27bcd4151a56771b76eab6d1474cf43837254bda4feb6688201fd995c080418c", 4),
+            (25, ZIGZAG_25GON, True, "70d052bea1c05347438b92c119a8df9e4adec81e7e92bad082b1812a773cb409", 3),
+            (25, ZIGZAG_25GON, False, "5cda9e9474c9d35d1b273f580ca0c262c15615efafb187baaa867eaf04cc3eb0", 3),
         ],
     )
-    def test_bytes_match_pinned_digest(self, n, diagonals, highlight, digest):
+    def test_bytes_match_pinned_digest(self, n, diagonals, highlight, digest, k):
         # Pinned digests keep the output byte-identical across versions, not
-        # only within one process: the README 12-gon and a diameter case.
+        # only within one process: the README 12-gon, diameter cases for
+        # k = 3 and 4, a central 4-cell, and an odd n with long diagonals.
         from polycenter import parse_diagonals
 
-        svg = render_svg(Dissection(n, parse_diagonals(diagonals)), highlight_central=highlight)
+        svg = render_svg(Dissection(n, parse_diagonals(diagonals), k), highlight_central=highlight)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_figure_style_central_triangle(self):

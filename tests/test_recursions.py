@@ -43,8 +43,9 @@ class TestBoundedPartitions:
             assert all(1 <= p <= 9 for p in part)
 
     def test_matches_exhaustive_reference(self):
-        # grid covers parts 0, 1 and 2, smallest > total, total > largest,
-        # largest < total - smallest and residue mismatches, so every base case
+        # grid covers parts 0 and 2 (the base cases), parts 1 (the general
+        # loop onto parts 0), smallest > total, total > largest,
+        # largest < total - smallest and residue mismatches, so every branch
         # runs on empty and non-empty results
         for parts, smallest, largest, residue, mod in product(
             range(0, 6), range(0, 4), range(0, 8), range(0, 3), (1, 2, 3)

@@ -150,6 +150,13 @@ class TestKangulation:
                 if (n - 2) % (k - 2):
                     assert kangulation_count(n, k) == 0
 
+    @pytest.mark.parametrize("count", [catalan, quadrangulation_count, kangulation_count])
+    @pytest.mark.parametrize("arg", [2.0, "4", None])
+    def test_non_int_non_fraction_raises_type_error(self, count, arg):
+        # the zero convention covers negative and half-integer indices only
+        with pytest.raises(TypeError):
+            count(arg)
+
 
 class TestBallot:
     def test_examples(self):
