@@ -29,6 +29,7 @@ from .sequences import (
     catalan,
     catalan_mod,
     fuss_catalan,
+    fuss_catalan_sweep,
     kangulation_count,
     quadrangulation_count,
 )
@@ -81,13 +82,19 @@ def _cmd_quad(args) -> int:
 
 
 def _preflight(n: int, k: int) -> None:
-    """Refuse, before enumerating, a brute-force run above ENUMERATION_LIMIT."""
-    count = kangulation_count(n, k)
-    if count > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"n={n}, k={k} would enumerate {count} dissections, "
-            f"above the limit of {ENUMERATION_LIMIT}"
-        )
+    """Refuse, before enumerating, a brute-force run above ENUMERATION_LIMIT.
+
+    The run enumerates kangulation_count(n, k) dissections: the Fuss-Catalan
+    number F(m) with parameter k-1 when n = (k-2)m + 2, else none.  F is
+    nondecreasing in m, so the sweep from F(0) stops at the first value past
+    the limit, after at most about 20 steps for any k, where the exact count
+    of a large n would take minutes and print thousands of digits.
+    """
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    m, r = divmod(n - 2, k - 2)
+    if r == 0 and m >= 0 and any(value > ENUMERATION_LIMIT for value in fuss_catalan_sweep(m, k - 1)):
+        raise ValueError(f"n={n}, k={k} would enumerate more than {ENUMERATION_LIMIT} dissections")
 
 
 def _shape_text(shape) -> str:

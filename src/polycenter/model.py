@@ -160,7 +160,8 @@ def placement_count(lengths, n: int) -> int:
     the multiset; the division is always exact (each subset is counted once
     per choice of starting vertex).  This is the validated public form: the
     recursion evaluator, whose tuples are valid and sorted by construction,
-    reads the same multiplicity from the run lengths of each tuple instead.
+    reads the same multiplicity from run lengths instead, once per family of
+    tuples that share them.
     """
     lengths = tuple(lengths)
     k = len(lengths)

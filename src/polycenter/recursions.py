@@ -11,7 +11,7 @@ from math import factorial
 from typing import Iterator
 
 from .model import DIAMETER
-from .sequences import _exact_div, fuss_catalan_sweep, kangulation_count
+from .sequences import _exact_div, fuss_catalan_sweep
 
 
 def bounded_partitions(
@@ -40,6 +40,73 @@ def bounded_partitions(
             yield (first, *rest)
 
 
+def _families(n: int, k: int, f: list) -> Iterator:
+    """The sorted k-tuples of :func:`_central_terms`, in lexicographic order,
+    as families that share one placement multiplicity.
+
+    A family is ``(prefix, sides, total, product, multiplicity)``: the
+    tuples ``(*prefix, a, total - a)`` for ``a`` in the range ``sides``,
+    where ``prefix`` holds the first k-2 sides and ``product`` is the
+    product of f over them.  Within one prefix the run lengths r of a tuple,
+    and with them the multiplicity n * k! / (k * prod(r!)), change only when
+    ``a`` equals the prefix's last side or ``a == total - a``; each of those
+    two tails is a family of its own and all other tails of the prefix form
+    one.  Each multiplicity is one checked division.
+    """
+    mod = k - 2
+    residue = 1 % mod  # only side lengths = 1 (mod k-2) bound a k-angulable sub-polygon
+    if (n - k * residue) % mod:
+        return iter(())
+    largest = (n - 1) // 2
+    arrangements = n * factorial(k)
+
+    def walk(prefix, last, total, product, symmetry, run):
+        # symmetry is k * prod(r!) over the prefix, accumulated as the product
+        # of each side's position in its run; run is the last run's length.
+        # The first k-3 sides recurse; the loop below places side k-2.
+        if len(prefix) < k - 3:
+            for side in range(last, min(largest, total // (k - len(prefix))) + 1, mod):
+                side_run = run + 1 if side == last else 1
+                yield from walk(
+                    (*prefix, side), side, total - side, product * f[side], symmetry * side_run, side_run
+                )
+            return
+        for side in range(last, min(largest, total // 3) + 1, mod):
+            side_run = run + 1 if side == last else 1
+            head = (*prefix, side)
+            rest = total - side
+            weight = product * f[side]
+            sym = symmetry * side_run
+            # two sides side <= a <= rest - a <= largest remain
+            lo = max(side, rest - largest)
+            lo += (residue - lo) % mod
+            half = rest // 2
+            hi = half - (half - residue) % mod
+            if lo == side:
+                tail = (side_run + 1) * (side_run + 2) if 2 * side == rest else side_run + 1
+                yield head, range(side, side + 1), rest, weight, _exact_div(arrangements, sym * tail)
+                lo += mod
+            if lo > hi:
+                continue
+            if 2 * hi == rest:
+                if lo < hi:
+                    yield head, range(lo, hi, mod), rest, weight, _exact_div(arrangements, sym)
+                yield head, range(hi, hi + 1), rest, weight, _exact_div(arrangements, sym * 2)
+            else:
+                yield head, range(lo, hi + 1, mod), rest, weight, _exact_div(arrangements, sym)
+
+    return walk((), 1, n, 1, k, 0)
+
+
+def _side_counts(n: int, k: int) -> list:
+    """f[i] = kangulation_count(i+1, k) for i <= n/2, the sub-polygon counts
+    one call needs, stepped by fuss_catalan_sweep: only i = 1 (mod k-2) is
+    nonzero, where f[i] = fuss_catalan((i-1)/(k-2), k-1)."""
+    f = [0] * (n // 2 + 1)
+    f[1 :: k - 2] = fuss_catalan_sweep((n // 2 - 1) // (k - 2), k - 1)
+    return f
+
+
 def _central_terms(n: int, k: int) -> Iterator:
     """The terms of the central-component recursion as ``(shape, count)``.
 
@@ -51,30 +118,26 @@ def _central_terms(n: int, k: int) -> Iterator:
     Only side lengths = 1 (mod k-2) bound a k-angulable sub-polygon, so no
     other is generated.  The multiplicity n * k! / (k * prod(r!)) over the
     run lengths r of the sorted tuple is the value of :func:`placement_count`,
-    read without its validation.
+    read without its validation, once per family of :func:`_families`.
     """
-    f = [kangulation_count(i + 1, k) for i in range(n // 2 + 1)]
+    f = _side_counts(n, k)
     if n % 2 == 0:
         yield DIAMETER, (n // 2) * f[n // 2] ** 2
-    arrangements = n * factorial(k)
-    for part in bounded_partitions(n, k, 1, (n - 1) // 2, residue=1 % (k - 2), mod=k - 2):
-        # prod(r!) accumulates as the product of each entry's position in its run
-        symmetry = k
-        run = 0
-        prev = 0
-        prod = 1
-        for i in part:
-            run = run + 1 if i == prev else 1
-            symmetry *= run
-            prev = i
-            prod *= f[i]
-        yield part, _exact_div(arrangements, symmetry) * prod
+    for prefix, sides, total, product, multiplicity in _families(n, k, f):
+        weight = multiplicity * product
+        for a in sides:
+            yield (*prefix, a, total - a), weight * f[a] * f[total - a]
 
 
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
-    :func:`_central_terms`."""
-    return sum(count for _, count in _central_terms(n, k))
+    :func:`_central_terms`, with each family of :func:`_families` summed as
+    one dot product of f over its sides a with f over their partners total - a."""
+    f = _side_counts(n, k)
+    result = (n // 2) * f[n // 2] ** 2 if n % 2 == 0 else 0
+    for _, sides, total, product, multiplicity in _families(n, k, f):
+        result += multiplicity * product * sum([f[a] * f[total - a] for a in sides])
+    return result
 
 
 def central_recursion_rhs(n: int) -> int:

@@ -6,12 +6,12 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from itertools import repeat
+from itertools import count, repeat
 
 import pytest
 
 from polycenter import Dissection, central_census, kangulation_count, render_svg
-from polycenter.cli import CONGRUENCE_LIMIT, ENUMERATION_LIMIT, run
+from polycenter.cli import CONGRUENCE_LIMIT, ENUMERATION_LIMIT, _preflight, run
 from polycenter.recursions import _central_terms
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -223,8 +223,34 @@ class TestEnumerationLimit:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert f"dissections, above the limit of {ENUMERATION_LIMIT}\n" in captured.err
+        assert captured.err.startswith("error: n=")
+        assert captured.err.endswith(f" would enumerate more than {ENUMERATION_LIMIT} dissections\n")
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_preflight_agrees_with_the_count(self, k):
+        step = k - 2
+        boundary = next(n for n in count(k, step) if kangulation_count(n, k) > ENUMERATION_LIMIT)
+        for n in range(boundary - 3 * step - 1, boundary + 3 * step + 2):
+            refused = kangulation_count(n, k) > ENUMERATION_LIMIT
+            if refused:
+                with pytest.raises(ValueError, match=f"would enumerate more than {ENUMERATION_LIMIT}"):
+                    _preflight(n, k)
+            else:
+                _preflight(n, k)
+
+    @pytest.mark.parametrize("n", ["3000", "100000", "1000000"])
+    def test_huge_census_refused_without_its_count(self, n):
+        # census 3000 once printed a count of 1,800 digits, census 100000 hit
+        # the int-to-str digit limit, and census 1000000 spent 43 s computing
+        # the count it refused.
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", "census", n], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 5.0
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: n={n}, k=3 would enumerate more than {ENUMERATION_LIMIT} dissections\n"
 
 
 class TestCongruenceLimit:

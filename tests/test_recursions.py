@@ -20,7 +20,7 @@ from polycenter import (
     quad_recursion_rhs,
     quadrangulation_count,
 )
-from polycenter.recursions import _central_terms, bounded_partitions
+from polycenter.recursions import _central_sum, _central_terms, _families, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -59,22 +59,60 @@ class TestBoundedPartitions:
                 assert got == by_total.get(total, []), (total, parts, smallest, largest, residue, mod)
 
 
+def reference_terms(n, k):
+    """The central-recursion terms built from the public pieces alone."""
+    terms = []
+    if n % 2 == 0:
+        terms.append((DIAMETER, (n // 2) * kangulation_count(n // 2 + 1, k) ** 2))
+    for shape in bounded_partitions(n, k, 1, (n - 1) // 2, residue=1 % (k - 2), mod=k - 2):
+        count = placement_count(shape, n)
+        for part in shape:
+            count *= kangulation_count(part + 1, k)
+        terms.append((shape, count))
+    return terms
+
+
 class TestCentralTerms:
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", range(3, 10))
     def test_terms_match_placement_formula(self, k):
-        for n in range(k, 61, k - 2):
-            terms = list(_central_terms(n, k))
-            if n % 2 == 0:
-                shape, count = terms.pop(0)
-                assert shape == DIAMETER
-                assert count == (n // 2) * kangulation_count(n // 2 + 1, k) ** 2
-            shapes = [shape for shape, _ in terms]
+        for n in range(k, 151, k - 2):
+            expected = reference_terms(n, k)
+            assert list(_central_terms(n, k)) == expected, (n, k)
+            assert _central_sum(n, k) == sum(count for _, count in expected), (n, k)
+            shapes = [shape for shape, _ in expected if shape != DIAMETER]
             assert shapes == sorted(shapes) and len(set(shapes)) == len(shapes)
-            for shape, count in terms:
-                expected = placement_count(shape, n)
-                for part in shape:
-                    expected *= kangulation_count(part + 1, k)
-                assert count == expected, (n, k, shape)
+
+    @pytest.mark.parametrize(
+        "n, k, shape",
+        [
+            (6, 3, (2, 2, 2)),  # all sides equal: a == last == total - a
+            (12, 4, (3, 3, 3, 3)),
+            (17, 5, (1, 4, 4, 4, 4)),
+            (11, 3, (3, 3, 5)),  # a == last
+            (17, 5, (1, 1, 4, 4, 7)),
+            (13, 3, (1, 6, 6)),  # a == total - a above last
+            (12, 4, (1, 1, 5, 5)),
+        ],
+    )
+    def test_edge_families(self, n, k, shape):
+        terms = dict(_central_terms(n, k))
+        count = placement_count(shape, n)
+        for part in shape:
+            count *= kangulation_count(part + 1, k)
+        assert terms[shape] == count
+        assert list(terms.items()) == reference_terms(n, k)
+
+    def test_families_split_where_the_multiplicity_changes(self):
+        n = 30
+        f = [kangulation_count(i + 1, 3) for i in range(n // 2 + 1)]
+        families = [(list(sides), m) for prefix, sides, _, _, m in _families(n, 3, f) if prefix == (8,)]
+        # a == 8 extends the run of the prefix; 8 < a < 11 share one
+        # multiplicity; a == 11 pairs with itself
+        assert families == [
+            ([8], placement_count((8, 8, 14), n)),
+            ([9, 10], placement_count((8, 9, 13), n)),
+            ([11], placement_count((8, 11, 11), n)),
+        ]
 
 
 class TestCentralRecursion:
