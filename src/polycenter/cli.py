@@ -190,10 +190,11 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_fixed_vertex(args) -> int:
+    if args.brute:
+        _preflight(args.n, 3)
     closed = fixed_vertex_outside(args.n)
     values = {"closed-form": closed}
     if args.brute:
-        _preflight(args.n, 3)
         values["brute-force"] = count_vertex0_outside(args.n)
     if args.dyck:
         values["dyck"] = dyck_formula(args.n - 2)

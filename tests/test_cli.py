@@ -215,6 +215,7 @@ class TestEnumerationLimit:
             ["census", "40", "--k", "4"],
             ["fixed-vertex", "30", "--brute"],
             ["verify", "census", "17"],
+            ["fixed-vertex", "20000", "--brute"],
         ],
     )
     def test_refused_before_enumerating(self, capsys, argv):
@@ -240,9 +241,9 @@ class TestEnumerationLimit:
 
     @pytest.mark.parametrize("n", ["3000", "100000", "1000000"])
     def test_huge_census_refused_without_its_count(self, n):
-        # census 3000 once printed a count of 1,800 digits, census 100000 hit
-        # the int-to-str digit limit, and census 1000000 spent 43 s computing
-        # the count it refused.
+        # The exact counts run from 1,800 to 600,000 digits: a message
+        # holding one would be huge or pass the int-to-str digit limit, and
+        # computing the largest alone takes about 40 s.
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", "census", n], capture_output=True, text=True, timeout=10

@@ -95,12 +95,9 @@ class TestCentralTerms:
         ],
     )
     def test_edge_families(self, n, k, shape):
-        terms = dict(_central_terms(n, k))
-        count = placement_count(shape, n)
-        for part in shape:
-            count *= kangulation_count(part + 1, k)
-        assert terms[shape] == count
-        assert list(terms.items()) == reference_terms(n, k)
+        terms = list(_central_terms(n, k))
+        assert shape in dict(terms)
+        assert terms == reference_terms(n, k)
 
     def test_families_split_where_the_multiplicity_changes(self):
         n = 30
