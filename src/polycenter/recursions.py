@@ -11,7 +11,7 @@ from math import factorial
 from typing import Iterator
 
 from .model import DIAMETER
-from .sequences import _exact_div, fuss_catalan_sweep
+from .sequences import _exact_div, _fuss_catalan_prefix
 
 
 def bounded_partitions(
@@ -100,10 +100,11 @@ def _families(n: int, k: int, f: list) -> Iterator:
 
 def _side_counts(n: int, k: int) -> list:
     """f[i] = kangulation_count(i+1, k) for i <= n/2, the sub-polygon counts
-    one call needs, stepped by fuss_catalan_sweep: only i = 1 (mod k-2) is
-    nonzero, where f[i] = fuss_catalan((i-1)/(k-2), k-1)."""
+    one call needs: only i = 1 (mod k-2) is nonzero, where
+    f[i] = fuss_catalan((i-1)/(k-2), k-1), read from the per-k prefix table
+    that all recursion and fixed-vertex calls share."""
     f = [0] * (n // 2 + 1)
-    f[1 :: k - 2] = fuss_catalan_sweep((n // 2 - 1) // (k - 2), k - 1)
+    f[1 :: k - 2] = _fuss_catalan_prefix((n // 2 - 1) // (k - 2), k - 1)
     return f
 
 
@@ -188,7 +189,7 @@ def fixed_vertex_outside(n: int) -> int:
     central component: sum of C(m) C(n-2-m) for 1 <= m <= floor(n/2) - 1."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    c = list(fuss_catalan_sweep(n - 2))
+    c = _fuss_catalan_prefix(n - 2, 2)
     return sum(c[m] * c[n - 2 - m] for m in range(1, n // 2))
 
 
@@ -197,7 +198,7 @@ def fixed_vertex_outside_double_sum(n: int) -> int:
     separating vertex 0 from the center and the position of its near endpoint."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    c = list(fuss_catalan_sweep(n - 3))
+    c = _fuss_catalan_prefix(n - 3, 2)
     total = 0
     for length in range(2, n // 2 + 1):
         for j in range(1, length):
@@ -208,8 +209,9 @@ def fixed_vertex_outside_double_sum(n: int) -> int:
 def dyck_formula(m: int) -> int:
     """Ballot-number form: sum of T(m,j) T(m,j+1) over 0 <= j < m/2.
 
-    T(m,j) = (m-2j+1)/(m-j+1) * C(m,j), with C(m,j) stepped from C(m,j-1) by
-    the exact ratio (m-j+1)/j instead of one binomial per index.
+    T(m,j) = (m-2j+1)/(m-j+1) * C(m,j) is read as the difference of binomials
+    C(m,j) - C(m,j-1), with C(m,j) stepped from C(m,j-1) by the exact ratio
+    (m-j+1)/j: one checked division per index and no fresh binomial.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -217,8 +219,8 @@ def dyck_formula(m: int) -> int:
     prev = 1  # T(m, 0)
     total = 0
     for j in range(1, (m + 1) // 2 + 1):
-        binom = _exact_div(binom * (m - j + 1), j)
-        t = _exact_div((m - 2 * j + 1) * binom, m - j + 1)
+        last, binom = binom, _exact_div(binom * (m - j + 1), j)
+        t = binom - last
         total += prev * t
         prev = t
     return total

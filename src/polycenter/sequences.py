@@ -75,10 +75,10 @@ def fuss_catalan_sweep(max_m: int, k: int = 2):
     return _fuss_catalan_ratios(max_m, k)
 
 
-def _ratios(k: int):
-    """F(m+1)/F(m) for m = 0, 1, 2, ... as (numerator, denominator), products of k small ints."""
-    top, bottom = 1, 2  # the first factors, km + 1 and (k-1)m + 2, of the two products
-    for m_plus_1 in count(1):
+def _ratios(k: int, start: int = 0):
+    """F(m+1)/F(m) for m = start, start + 1, ... as (numerator, denominator), products of k small ints."""
+    top, bottom = k * start + 1, (k - 1) * start + 2  # the first factors, km + 1 and (k-1)m + 2
+    for m_plus_1 in count(start + 1):
         yield prod(range(top, top + k)), m_plus_1 * prod(range(bottom, bottom + k - 1))
         top += k
         bottom += k - 1
@@ -90,6 +90,29 @@ def _fuss_catalan_ratios(max_m: int, k: int):
     for num, den in islice(_ratios(k), max_m):
         value = _exact_div(value * num, den)
         yield value
+
+
+#: k -> [F(0), F(1), ...] with parameter k, as far as any caller has asked.
+_prefixes: dict = {}
+
+
+def _fuss_catalan_prefix(max_m: int, k: int) -> list:
+    """[fuss_catalan(m, k) for m in range(max_m + 1)] as a new list.
+
+    The values come from one grow-only table per k, shared by the central
+    recursions and the fixed-vertex forms: a request past the end of the
+    table steps _ratios(k) on from where it ends, with every division
+    checked, so each F(m) is computed once per process.  The table for k is
+    never longer than the longest list a single call has asked for, which
+    that call holds anyway.  fuss_catalan_sweep does not use it and stays lazy.
+    """
+    table = _prefixes.setdefault(k, [1])
+    if len(table) <= max_m:
+        value = table[-1]
+        for num, den in islice(_ratios(k, len(table) - 1), max_m + 1 - len(table)):
+            value = _exact_div(value * num, den)
+            table.append(value)
+    return table[: max_m + 1]
 
 
 def quadrangulation_count(n) -> int:
