@@ -10,7 +10,7 @@ in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import comb, prod
 
 
@@ -72,7 +72,7 @@ def fuss_catalan_sweep(max_m: int, k: int = 2):
         raise ValueError("max_m must be >= 0")
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _fuss_catalan_ratios(max_m, k)
+    return chain((1,), islice(_fuss_catalan_steps(k, 0, 1), max_m))
 
 
 def _ratios(k: int, start: int = 0):
@@ -84,10 +84,9 @@ def _ratios(k: int, start: int = 0):
         bottom += k - 1
 
 
-def _fuss_catalan_ratios(max_m: int, k: int):
-    value = 1
-    yield value
-    for num, den in islice(_ratios(k), max_m):
+def _fuss_catalan_steps(k: int, m: int, value: int):
+    """F(m+1), F(m+2), ... with parameter k, stepped from value = F(m)."""
+    for num, den in _ratios(k, m):
         value = _exact_div(value * num, den)
         yield value
 
@@ -106,12 +105,12 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
     never longer than the longest list a single call has asked for, which
     that call holds anyway.  fuss_catalan_sweep does not use it and stays lazy.
     """
-    table = _prefixes.setdefault(k, [1])
+    table = _prefixes.get(k, [1])
     if len(table) <= max_m:
-        value = table[-1]
-        for num, den in islice(_ratios(k, len(table) - 1), max_m + 1 - len(table)):
-            value = _exact_div(value * num, den)
-            table.append(value)
+        # A grown copy replaces the list, so no caller, in any thread, sees a
+        # table that is half extended or extended twice from one end.
+        table = [*table, *islice(_fuss_catalan_steps(k, len(table) - 1, table[-1]), max_m + 1 - len(table))]
+        _prefixes[k] = table
     return table[: max_m + 1]
 
 

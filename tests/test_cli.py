@@ -7,11 +7,12 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from itertools import count, repeat
+from math import comb
 
 import pytest
 
 from polycenter import Dissection, central_census, kangulation_count, render_svg
-from polycenter.cli import CONGRUENCE_LIMIT, ENUMERATION_LIMIT, _preflight, run
+from polycenter.cli import CONGRUENCE_LIMIT, ENUMERATION_LIMIT, FIXED_VERTEX_LIMIT, _preflight, run
 from polycenter.recursions import _central_terms
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -293,6 +294,48 @@ class TestFixedVertexCommand:
             line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
         )
         assert lines == {"closed-form": "9", "brute-force": "9", "dyck": "9"}
+
+    @pytest.mark.parametrize("flags", [[], ["--dyck"], ["--brute"]])
+    def test_refused_above_the_limit(self, flags):
+        # A subprocess with a timeout fails, rather than hangs, if the
+        # refusal is lost and the sums start.
+        n = str(FIXED_VERTEX_LIMIT + 1)
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", "fixed-vertex", n, *flags],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: n={n} is above the limit of {FIXED_VERTEX_LIMIT}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+class TestIntStrLimit:
+    def test_catalan_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(["catalan", "7200"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(comb(14400, 7200) // 7201)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) == 4329  # past the default limit of 4300 digits
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_limit_restored_when_a_command_raises(self, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+
+        def boom(args):
+            assert sys.get_int_max_str_digits() == 0
+            raise KeyError("boom")
+
+        monkeypatch.setattr("polycenter.cli._cmd_catalan", boom)
+        with pytest.raises(KeyError):
+            run(["catalan", "1"])
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestRender:

@@ -20,6 +20,7 @@ from polycenter import (
     quad_recursion_rhs,
     quadrangulation_count,
 )
+from polycenter import sequences
 from polycenter.recursions import _central_sum, _central_terms, _families, bounded_partitions
 
 
@@ -172,6 +173,25 @@ class TestFixedVertex:
     @pytest.mark.parametrize("n", range(4, 12))
     def test_matches_bruteforce(self, n):
         assert count_vertex0_outside(n) == fixed_vertex_outside(n)
+
+    def test_calls_share_one_catalan_prefix(self, monkeypatch):
+        # fixed_vertex_outside(300) needs C(0..298), 298 ratio steps; the
+        # central recursion to n = 200 needs no Catalan number past those.
+        steps = 0
+
+        def counted(k, *start):
+            nonlocal steps
+            for ratio in ratios(k, *start):
+                if k == 2:
+                    steps += 1
+                yield ratio
+
+        ratios = sequences._ratios
+        monkeypatch.setattr(sequences, "_prefixes", {})
+        monkeypatch.setattr(sequences, "_ratios", counted)
+        assert [fixed_vertex_outside(n) for n in range(4, 301)] == [dyck_formula(n - 2) for n in range(4, 301)]
+        assert all(central_recursion_rhs(n) == catalan(n - 2) for n in range(3, 201))
+        assert 0 < steps <= 298
 
 
 class TestDyck:

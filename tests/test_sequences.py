@@ -1,6 +1,9 @@
 """Closed-form sequence values against independent oracles."""
 
+import sys
+import threading
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 import pytest
@@ -15,7 +18,8 @@ from polycenter import (
     kangulation_count,
     quadrangulation_count,
 )
-from polycenter.sequences import fuss_catalan_sweep
+from polycenter import sequences
+from polycenter.sequences import _fuss_catalan_prefix, fuss_catalan_sweep
 
 
 def pascal_triangle(rows):
@@ -116,6 +120,63 @@ class TestFussCatalanSweep:
     def test_bad_args_raise_at_call(self, max_m, k):
         with pytest.raises(ValueError):
             fuss_catalan_sweep(max_m, k)
+
+
+class TestFussCatalanPrefix:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_any_growth_order_matches_fuss_catalan(self, monkeypatch, k):
+        monkeypatch.setattr(sequences, "_prefixes", {})
+        expected = [fuss_catalan(m, k) for m in range(301)]
+        for max_m in (5, 300, 17, 0, 299, 300):
+            assert _fuss_catalan_prefix(max_m, k) == expected[: max_m + 1]
+        assert sequences._prefixes[k] == expected
+
+    def test_returned_list_is_a_copy(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_prefixes", {})
+        first = _fuss_catalan_prefix(10, 3)
+        first[4] = -1
+        first.append(-2)
+        assert _fuss_catalan_prefix(11, 3) == [fuss_catalan(m, 3) for m in range(12)]
+
+    def test_threads_growing_one_table(self, monkeypatch):
+        # Eight threads grow one table at once, from the same start, with a
+        # thread switch every microsecond; each list any of them gets back
+        # must still be the exact prefix.
+        expected = [fuss_catalan(m, 2) for m in range(801)]
+        wrong = []
+        start = threading.Barrier(8)
+
+        def grow(offset):
+            start.wait()
+            for max_m in range(200 + offset, 801, 75):
+                try:
+                    if _fuss_catalan_prefix(max_m, 2) != expected[: max_m + 1]:
+                        wrong.append(max_m)
+                except ArithmeticError as exc:  # an inexact step from a corrupted table
+                    wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(sequences, "_prefixes", {})
+                threads = [threading.Thread(target=grow, args=(offset,)) for offset in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert sequences._prefixes[2] == expected[: len(sequences._prefixes[2])]
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_inexact_step_raises_and_keeps_the_table(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_prefixes", {2: [1, 1, 2]})
+        monkeypatch.setattr(sequences, "_ratios", lambda k, start: repeat((1, 3)))
+        with pytest.raises(ArithmeticError):
+            _fuss_catalan_prefix(5, 2)
+        assert sequences._prefixes[2] == [1, 1, 2]
 
 
 class TestQuadrangulation:
