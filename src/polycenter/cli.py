@@ -51,6 +51,12 @@ CONGRUENCE_LIMIT = 10_000_000
 #: with a peak RSS near 220 MiB, most of it the Catalan prefix it tabulates.
 FIXED_VERTEX_LIMIT = 40_000
 
+#: Largest n that render accepts.  Memory binds before time: a document
+#: costs about 0.9 KB of peak RSS and 10 µs a vertex, so render 250000
+#: --k 250000 --highlight-central ends in about 3 s with a peak RSS near
+#: 220 MiB and writes a 58 MB SVG, where n = 1000000 peaks near 1 GiB.
+RENDER_LIMIT = 250_000
+
 
 def _finish(value, args) -> int:
     print(value)
@@ -217,6 +223,8 @@ def _cmd_fixed_vertex(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.n > RENDER_LIMIT:
+        raise ValueError(f"n={args.n} is above the limit of {RENDER_LIMIT}")
     diags = parse_diagonals(args.diagonals)
     d = Dissection(args.n, diags, args.k)
     svg = render_svg(d, highlight_central=args.highlight_central)

@@ -1,13 +1,16 @@
 """Labeled convex-polygon dissections and their central components.
 
 Vertices of an n-gon are labeled 0..n-1 counterclockwise on the circle.
-Everything here is purely combinatorial: face extraction (which also finds
-crossings) and the central-component classification work on vertex labels,
-never on coordinates.
+Everything here is purely combinatorial: face extraction and the
+central-component classification work on vertex labels, never on
+coordinates.  Faces come from one sweep over the diagonals ordered by right
+end, which closes each cell as its bounding diagonal is reached and finds a
+crossing as a left end that an earlier diagonal has already closed off.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
@@ -54,40 +57,42 @@ class Dissection:
         return sorted(self.diagonals)
 
 
+def _cell_text(cell) -> str:
+    """The cell as a tuple, shortened to its first and last vertices when long."""
+    if len(cell) <= 12:
+        return str(cell)
+    return f"({', '.join(map(str, cell[:6]))}, ..., {cell[-1]})"
+
+
 def faces(d: Dissection) -> list:
     """All interior cells of the dissection, each a sorted vertex tuple.
 
     Rejects crossing diagonal sets and dissections whose cells are not all
     k-gons.  The sorted vertex order of a cell is its cyclic order rotated
-    to the minimum label.  Crossings are found while splitting: two crossing
-    diagonals share every pending list until one of them splits it, and
-    there the other is neither inside nor outside the split.
+    to the minimum label.  One sweep takes the diagonals (x, y) by right end
+    y, the shorter first where two share it, over a sorted list of the
+    vertices still open: each diagonal closes the cell of the open vertices
+    from x to y and removes those strictly between.  A diagonal whose x is
+    no longer open crosses an earlier one, which removed it.
     """
+    diagonals = sorted(d.diagonals, key=lambda e: (e[1], -e[0]))
     out: list = []
-
-    def split(vertices: list, pending: list) -> None:
-        if not pending:
-            out.append(tuple(vertices))
-            return
-        x, y = pending[0]
-        inner_p: list = []
-        outer_p: list = []
-        for e in pending[1:]:
-            if x <= e[0] and e[1] <= y:
-                inner_p.append(e)
-            elif e[1] <= x or e[0] >= y or (e[0] <= x and y <= e[1]):
-                outer_p.append(e)
-            else:
-                raise ValueError(f"diagonals {(x, y)} and {e} cross")
-        split([v for v in vertices if x <= v <= y], inner_p)
-        split([v for v in vertices if v <= x or v >= y], outer_p)
-
-    split(list(range(d.n)), d.sorted_diagonals())
+    open_ = [0]  # vertex 0 is never strictly inside a diagonal
+    for j, (x, y) in enumerate(diagonals):
+        open_.extend(range(open_[-1] + 1, y + 1))
+        i = bisect_left(open_, x)
+        if open_[i] != x:
+            a, b = next(e for e in diagonals[:j] if e[0] < x < e[1])
+            raise ValueError(f"diagonals {(a, b)} and {(x, y)} cross")
+        out.append(tuple(open_[i:]))
+        del open_[i + 1 : -1]
+    open_.extend(range(open_[-1] + 1, d.n))
+    out.append(tuple(open_))
     out.sort()
     for f in out:
         if len(f) != d.k:
             raise ValueError(
-                f"cell {f} has {len(f)} vertices; not a dissection into {d.k}-gons"
+                f"cell {_cell_text(f)} has {len(f)} vertices; not a dissection into {d.k}-gons"
             )
     return out
 
@@ -129,17 +134,14 @@ def central_component(d: Dissection) -> CentralComponent:
     """Classify the dissection by the component containing the polygon center.
 
     An edge of cyclic length exactly n/2 (even n only) is the unique diameter
-    through the center; otherwise exactly one cell has all arcs < n/2 and
-    that cell contains the center.
+    through the center: two distinct diameters cross at the center, and
+    :func:`faces` has rejected crossings by then.  Otherwise exactly one
+    cell has all arcs < n/2, and that cell contains the center.
     """
     fs = faces(d)
-    if d.n % 2 == 0:
-        half = d.n // 2
-        diams = [e for e in d.sorted_diagonals() if e[1] - e[0] == half]
-        if diams:
-            if len(diams) != 1:
-                raise AssertionError(f"multiple diameters {diams} in one dissection")
-            return CentralComponent(d.n, diameter=diams[0])
+    for x, y in d.diagonals:
+        if 2 * (y - x) == d.n:
+            return CentralComponent(d.n, diameter=(x, y))
     central = [f for f in fs if all(2 * a < d.n for a in face_arcs(f, d.n))]
     if len(central) != 1:
         raise AssertionError(f"expected one central cell, found {central}")

@@ -12,7 +12,14 @@ from math import comb
 import pytest
 
 from polycenter import Dissection, central_census, kangulation_count, render_svg
-from polycenter.cli import CONGRUENCE_LIMIT, ENUMERATION_LIMIT, FIXED_VERTEX_LIMIT, _preflight, run
+from polycenter.cli import (
+    CONGRUENCE_LIMIT,
+    ENUMERATION_LIMIT,
+    FIXED_VERTEX_LIMIT,
+    RENDER_LIMIT,
+    _preflight,
+    run,
+)
 from polycenter.recursions import _central_terms
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -370,6 +377,35 @@ class TestRender:
         assert not out.exists()
 
 
+class TestRenderLimit:
+    # A subprocess with a timeout fails, rather than hangs or fills memory,
+    # if the refusal is lost and the render starts.
+    def render(self, tmp_path, n, *flags):
+        out = tmp_path / "big.svg"
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", "render", str(n), "--out", str(out), *flags],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert not out.exists()
+        return done
+
+    @pytest.mark.parametrize("n", [RENDER_LIMIT + 1, 1_000_000])
+    @pytest.mark.parametrize("flags", [["--diagonals", ""], ["--k", "500001", "--diagonals", "0-500000"]])
+    def test_refused_above_the_limit(self, tmp_path, n, flags):
+        done = self.render(tmp_path, n, *flags)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: n={n} is above the limit of {RENDER_LIMIT}\n"
+
+    def test_wrong_cell_size_message_is_short_at_the_limit(self, tmp_path):
+        done = self.render(tmp_path, RENDER_LIMIT, "--diagonals", "")
+        assert done.returncode == 2
+        assert f"has {RENDER_LIMIT} vertices; not a dissection into 3-gons" in done.stderr
+        assert len(done.stderr.encode()) < 1024
+
+
 class TestInternalError:
     def test_assertion_exits_3_without_traceback(self, monkeypatch, capsys):
         def broken(n, k):
@@ -427,6 +463,24 @@ class TestSvgDocument:
 
         svg = render_svg(Dissection(n, parse_diagonals(diagonals), k), highlight_central=highlight)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_frame_cache_keeps_one_n(self):
+        from polycenter import parse_diagonals
+        from polycenter.svg import _frame
+
+        cases = {
+            12: Dissection(12, parse_diagonals(FIGURE_STYLE_12GON)),
+            25: Dissection(25, parse_diagonals(ZIGZAG_25GON)),
+            6: Dissection(6, {(0, 3), (0, 2), (3, 5)}),
+        }
+        fresh = {}
+        for n, d in cases.items():
+            _frame.cache_clear()
+            fresh[n] = render_svg(d)
+        _frame.cache_clear()
+        for n in (12, 25, 12, 6, 12):
+            assert render_svg(cases[n]) == fresh[n]
+            assert _frame.cache_info().currsize <= 1
 
     def test_figure_style_central_triangle(self):
         from polycenter import central_component, face_arcs, parse_diagonals

@@ -1,5 +1,6 @@
 """Dissection model: cyclic lengths, faces, central components, placements."""
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -55,6 +56,38 @@ class TestDissection:
         assert sorted(d.diagonals) == [(0, 2), (0, 4)]
 
 
+def cross(d1, d2):
+    (a, b), (c, d) = d1, d2
+    return a < c < b < d or c < a < d < b
+
+
+def split_faces(n, diagonals):
+    """Reference cells by recursive splitting, or "cross" for a crossing set.
+
+    Each diagonal splits the vertex list it falls in; a diagonal that is
+    neither inside nor outside an earlier split crosses it.
+    """
+    out = []
+
+    def split(vertices, pending):
+        if not pending:
+            out.append(tuple(vertices))
+            return True
+        x, y = pending[0]
+        inner = [e for e in pending[1:] if x <= e[0] and e[1] <= y]
+        outer = [e for e in pending[1:] if e[1] <= x or e[0] >= y or (e[0] <= x and y <= e[1])]
+        if len(inner) + len(outer) != len(pending) - 1:
+            return False
+        return split([v for v in vertices if x <= v <= y], inner) and split(
+            [v for v in vertices if v <= x or v >= y], outer
+        )
+
+    return sorted(out) if split(list(range(n)), sorted(diagonals)) else "cross"
+
+
+CROSS_MESSAGE = re.compile(r"diagonals \((\d+), (\d+)\) and \((\d+), (\d+)\) cross")
+
+
 class TestFaces:
     def test_square(self):
         assert faces(Dissection(4, {(0, 2)})) == [(0, 1, 2), (0, 2, 3)]
@@ -70,10 +103,6 @@ class TestFaces:
         assert faces(Dissection(3, set())) == [(0, 1, 2)]
 
     def test_rejects_crossing(self):
-        def cross(d1, d2):
-            (a, b), (c, d) = d1, d2
-            return a < c < b < d or c < a < d < b
-
         named = [
             (6, {(0, 2), (1, 3), (3, 5)}),
             (8, {(0, 5), (1, 3), (2, 4)}),  # crossing inside the region (0, 5) cuts off
@@ -93,6 +122,64 @@ class TestFaces:
                     except ValueError as exc:
                         rejected = "cross" in str(exc)
                     assert rejected == crossing, (n, diags)
+
+    def test_crossing_message_names_two_crossing_diagonals(self):
+        for n, diags in [
+            (4, {(0, 2), (1, 3)}),
+            (8, {(0, 5), (1, 3), (2, 4)}),
+            (9, {(0, 4), (1, 3), (2, 7), (5, 8)}),
+            (12, {(0, 6), (6, 9), (7, 11), (8, 10)}),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                faces(Dissection(n, diags))
+            match = CROSS_MESSAGE.fullmatch(str(exc.value))
+            assert match, str(exc.value)
+            a, b, c, d = map(int, match.groups())
+            assert (a, b) in diags and (c, d) in diags
+            assert cross((a, b), (c, d))
+
+    def test_sweep_matches_recursive_split(self):
+        # Every set of at most 4 diagonals for n <= 9: the same cells, or
+        # the same rejection (a crossing, or a cell of the wrong size), and
+        # a crossing message names two diagonals of the set that cross.
+        for n in range(3, 10):
+            diagonals = [(x, y) for x, y in combinations(range(n), 2) if 1 < y - x < n - 1]
+            for size in range(5):
+                for diags in combinations(diagonals, size):
+                    expected = split_faces(n, diags)
+                    for k in (3, 4, 5):
+                        try:
+                            got = faces(Dissection(n, diags, k))
+                        except ValueError as exc:
+                            match = CROSS_MESSAGE.fullmatch(str(exc))
+                            if match:
+                                a, b, c, d = map(int, match.groups())
+                                assert {(a, b), (c, d)} <= set(diags), (n, diags)
+                                assert cross((a, b), (c, d)), (n, diags)
+                                got = "cross"
+                            else:
+                                assert "vertices; not a dissection into" in str(exc)
+                                got = "size"
+                        if expected == "cross":
+                            assert got == "cross", (n, diags, k)
+                        elif any(len(f) != k for f in expected):
+                            assert got == "size", (n, diags, k)
+                        else:
+                            assert got == expected, (n, diags, k)
+
+    def test_wrong_size_message_is_bounded(self):
+        with pytest.raises(ValueError) as exc:
+            faces(Dissection(10**6, ()))
+        assert str(exc.value) == (
+            "cell (0, 1, 2, 3, 4, 5, ..., 999999) has 1000000 vertices; "
+            "not a dissection into 3-gons"
+        )
+        with pytest.raises(ValueError) as exc:
+            faces(Dissection(12, {(0, 2)}))
+        assert str(exc.value) == (
+            "cell (0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11) has 11 vertices; "
+            "not a dissection into 3-gons"
+        )
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
