@@ -22,7 +22,6 @@ from .enumeration import (
     central_census,
     count_vertex0_outside,
     enumerate_kangulations,
-    enumerate_triangulations,
 )
 from .model import (
     DIAMETER,
@@ -30,10 +29,8 @@ from .model import (
     Dissection,
     central_component,
     contains_vertex,
-    cyclic_length,
     face_arcs,
     faces,
-    format_diagonals,
     parse_diagonals,
     placement_count,
 )
@@ -48,7 +45,6 @@ from .recursions import (
 )
 from .sequences import (
     ballot_T,
-    binomial,
     catalan,
     catalan_mod,
     fuss_catalan,
@@ -67,7 +63,6 @@ __all__ = [
     "Theorem",
     "VerificationReport",
     "ballot_T",
-    "binomial",
     "catalan",
     "catalan_mod",
     "census_to_json",
@@ -76,16 +71,13 @@ __all__ = [
     "central_recursion_rhs",
     "contains_vertex",
     "count_vertex0_outside",
-    "cyclic_length",
     "dyck_formula",
     "dyck_midpoint_uu_bruteforce",
     "enumerate_kangulations",
-    "enumerate_triangulations",
     "face_arcs",
     "faces",
     "fixed_vertex_outside",
     "fixed_vertex_outside_double_sum",
-    "format_diagonals",
     "fuss_catalan",
     "kang_recursion_rhs",
     "kangulation_count",

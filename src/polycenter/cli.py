@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,12 @@ FIXED_VERTEX_LIMIT = 40_000
 #: 220 MiB and writes a 58 MB SVG, where n = 1000000 peaks near 1 GiB.
 RENDER_LIMIT = 250_000
 
+#: Most decimal digits that catalan (with or without --mod), fuss, kang and
+#: quad may compute, estimated before any work.  catalan is the slowest per
+#: digit: catalan 705919, the largest index admitted (424,997 digits), ends
+#: in about 29 s, where quad, kang and fuss at the limit end in 4 to 18 s.
+COUNT_LIMIT = 425_000
+
 
 def _finish(value, args) -> int:
     print(value)
@@ -74,22 +81,56 @@ def _n(args) -> int:
     return args.n
 
 
+def _check_count(n: int, k: int) -> None:
+    """Refuse, before any work, a kangulation_count(n, k) of more than COUNT_LIMIT digits.
+
+    The count is the Fuss-Catalan number F(m, s) = binomial(sm, m)/((s-1)m + 1)
+    with s = k-1 when n = (k-2)m + 2, else 0.  log10 binomial(sm, m) is below
+    m times the rate s log10 s - (s-1) log10 (s-1), its entropy bound, and
+    within a few digits of it, so log10 F(m, s) is estimated from above as
+    m * rate - log10((s-1)m + 1).  The rate is log10 s + t log10 (1 + 1/t)
+    with t = s-1, and t log10 (1 + 1/t) has reached log10 e in double
+    precision by t = 2**52.  The estimate is kept in integer millionths of a
+    digit, rounded up, so an input of any size is estimated without a float
+    overflow.
+    """
+    if k < 3:
+        return  # the count rejects k itself
+    m, r = divmod(n - 2, k - 2)
+    if r or m < 0:
+        return
+    s = k - 1
+    t = min(s - 1, 2**52)
+    rate = math.log10(s) + t * math.log1p(1 / t) / math.log(10)
+    micro = m * math.ceil(rate * 10**6) - math.floor(math.log10((s - 1) * m + 1) * 10**6)
+    if micro > COUNT_LIMIT * 10**6:
+        digits = -(-micro // 10**6)
+        raise ValueError(f"the count has about {digits} digits, which is above the limit of {COUNT_LIMIT}")
+
+
 def _cmd_catalan(args) -> int:
     n = _n(args)
+    _check_count(n + 2, 3)
     value = catalan_mod(n, args.mod) if args.mod is not None else catalan(n)
     return _finish(value, args)
 
 
 def _cmd_fuss(args) -> int:
-    return _finish(fuss_catalan(_n(args), args.k), args)
+    n = _n(args)
+    _check_count((args.k - 1) * n + 2, args.k + 1)
+    return _finish(fuss_catalan(n, args.k), args)
 
 
 def _cmd_kang(args) -> int:
-    return _finish(kangulation_count(_n(args), args.k), args)
+    n = _n(args)
+    _check_count(n, args.k)
+    return _finish(kangulation_count(n, args.k), args)
 
 
 def _cmd_quad(args) -> int:
-    return _finish(quadrangulation_count(_n(args)), args)
+    n = _n(args)
+    _check_count(2 * n + 2, 4)
+    return _finish(quadrangulation_count(n), args)
 
 
 def _preflight(n: int, k: int) -> None:

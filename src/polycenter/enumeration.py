@@ -114,11 +114,6 @@ def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
         yield Dissection(n, diags, k)
 
 
-def enumerate_triangulations(n: int) -> Iterator[Dissection]:
-    """Every triangulation of the n-gon, exactly once (apex recursion on edge 0-(n-1))."""
-    return enumerate_kangulations(n, 3)
-
-
 @dataclass(frozen=True)
 class CensusEntry:
     """One central-component shape with its number of dissections."""

@@ -19,13 +19,6 @@ from math import factorial
 DIAMETER = "diameter"
 
 
-def cyclic_length(x: int, y: int, n: int) -> int:
-    """Shorter arc distance min(y-x, n+x-y) between vertices x < y of an n-gon."""
-    if not 0 <= x < y < n:
-        raise ValueError(f"need 0 <= x < y < n, got x={x}, y={y}, n={n}")
-    return min(y - x, n + x - y)
-
-
 @dataclass(frozen=True)
 class Dissection:
     """A convex n-gon with a set of pairwise non-crossing diagonals.
@@ -52,9 +45,6 @@ class Dissection:
                 raise ValueError(f"diagonal ({x},{y}) out of range for n={n}")
             if y - x == 1 or (x == 0 and y == n - 1):
                 raise ValueError(f"({x},{y}) is a polygon side, not a diagonal")
-
-    def sorted_diagonals(self) -> list:
-        return sorted(self.diagonals)
 
 
 def _cell_text(cell) -> str:
@@ -115,10 +105,6 @@ class CentralComponent:
     def __post_init__(self):
         if (self.diameter is None) == (self.cell is None):
             raise ValueError("exactly one of diameter/cell must be set")
-
-    @property
-    def is_diameter(self) -> bool:
-        return self.diameter is not None
 
     def vertices(self):
         return self.diameter if self.diameter is not None else self.cell
@@ -200,7 +186,3 @@ def parse_diagonals(text: str) -> frozenset:
         diags.add((min(x, y), max(x, y)))
     return frozenset(diags)
 
-
-def format_diagonals(diagonals) -> str:
-    """Inverse of :func:`parse_diagonals`, lexicographically ordered."""
-    return ",".join(f"{x}-{y}" for x, y in sorted(diagonals))

@@ -19,8 +19,9 @@ def bounded_partitions(
 ) -> Iterator:
     """Nondecreasing tuples of ``parts`` values in [smallest, largest] summing to ``total``.
 
-    With ``mod`` > 1 only values = residue (mod mod) are produced, which lets
-    callers skip summands that are identically zero.
+    With ``mod`` > 1 only values = residue (mod mod) are produced.  With
+    residue 1 and mod k-2 these are the side lengths 1 + (k-2)j of the central
+    k-gons, the tuples that :func:`_families` walks as tuples of indices j.
     """
     if parts == 0:
         if total == 0:
@@ -40,104 +41,109 @@ def bounded_partitions(
             yield (first, *rest)
 
 
-def _families(n: int, k: int, f: list) -> Iterator:
-    """The sorted k-tuples of :func:`_central_terms`, in lexicographic order,
-    as families that share one placement multiplicity.
+def _families(n: int, k: int, m: int, c: list) -> Iterator:
+    """The sorted k-tuples of :func:`_central_terms` in index space, in
+    lexicographic order, as families that share one placement multiplicity.
 
-    A family is ``(prefix, sides, total, product, multiplicity)``: the
-    tuples ``(*prefix, a, total - a)`` for ``a`` in the range ``sides``,
-    where ``prefix`` holds the first k-2 sides and ``product`` is the
-    product of f over them.  Within one prefix the run lengths r of a tuple,
-    and with them the multiplicity n * k! / (k * prod(r!)), change only when
-    ``a`` equals the prefix's last side or ``a == total - a``; each of those
-    two tails is a family of its own and all other tails of the prefix form
-    one.  Each multiplicity is one checked division.
+    A side of length 1 + (k-2)j cuts off a sub-polygon with c[j] =
+    F(j, k-1) k-angulations, so a central k-gon is a sorted k-tuple of
+    indices 0 <= j <= top summing to m = (n-k)/(k-2), where top is the
+    largest index whose side is < n/2.  A family is
+    ``(prefix, indices, total, product, multiplicity)``: the tuples
+    ``(*prefix, a, total - a)`` for ``a`` in the range ``indices``, where
+    ``prefix`` holds the first k-2 indices and ``product`` is the product of
+    c over them.  Within one prefix the run lengths r of a tuple, and with
+    them the multiplicity n * k! / (k * prod(r!)), change only when ``a``
+    equals the prefix's last index or ``a == total - a``; each of those two
+    tails is a family of its own and all other tails of the prefix form one.
+    Each multiplicity is one checked division.
     """
-    mod = k - 2
-    residue = 1 % mod  # only side lengths = 1 (mod k-2) bound a k-angulable sub-polygon
-    if (n - k * residue) % mod:
-        return iter(())
-    largest = (n - 1) // 2
+    top = ((n - 1) // 2 - 1) // (k - 2)
     arrangements = n * factorial(k)
 
     def walk(prefix, last, total, product, symmetry, run):
         # symmetry is k * prod(r!) over the prefix, accumulated as the product
-        # of each side's position in its run; run is the last run's length.
-        # The first k-3 sides recurse; the loop below places side k-2.
+        # of each index's position in its run; run is the last run's length.
+        # The first k-3 indices recurse; the loop below places index k-2.
         if len(prefix) < k - 3:
-            for side in range(last, min(largest, total // (k - len(prefix))) + 1, mod):
-                side_run = run + 1 if side == last else 1
-                yield from walk(
-                    (*prefix, side), side, total - side, product * f[side], symmetry * side_run, side_run
-                )
+            for j in range(last, min(top, total // (k - len(prefix))) + 1):
+                j_run = run + 1 if j == last else 1
+                yield from walk((*prefix, j), j, total - j, product * c[j], symmetry * j_run, j_run)
             return
-        for side in range(last, min(largest, total // 3) + 1, mod):
-            side_run = run + 1 if side == last else 1
-            head = (*prefix, side)
-            rest = total - side
-            weight = product * f[side]
-            sym = symmetry * side_run
-            # two sides side <= a <= rest - a <= largest remain
-            lo = max(side, rest - largest)
-            lo += (residue - lo) % mod
-            half = rest // 2
-            hi = half - (half - residue) % mod
-            if lo == side:
-                tail = (side_run + 1) * (side_run + 2) if 2 * side == rest else side_run + 1
-                yield head, range(side, side + 1), rest, weight, _exact_div(arrangements, sym * tail)
-                lo += mod
+        for j in range(last, min(top, total // 3) + 1):
+            j_run = run + 1 if j == last else 1
+            head = (*prefix, j)
+            rest = total - j
+            weight = product * c[j]
+            sym = symmetry * j_run
+            # two indices j <= a <= rest - a <= top remain
+            lo = max(j, rest - top)
+            hi = rest // 2
+            if lo == j:
+                tail = (j_run + 1) * (j_run + 2) if 2 * j == rest else j_run + 1
+                yield head, range(j, j + 1), rest, weight, _exact_div(arrangements, sym * tail)
+                lo += 1
             if lo > hi:
                 continue
             if 2 * hi == rest:
                 if lo < hi:
-                    yield head, range(lo, hi, mod), rest, weight, _exact_div(arrangements, sym)
+                    yield head, range(lo, hi), rest, weight, _exact_div(arrangements, sym)
                 yield head, range(hi, hi + 1), rest, weight, _exact_div(arrangements, sym * 2)
             else:
-                yield head, range(lo, hi + 1, mod), rest, weight, _exact_div(arrangements, sym)
+                yield head, range(lo, hi + 1), rest, weight, _exact_div(arrangements, sym)
 
-    return walk((), 1, n, 1, k, 0)
+    return walk((), 0, m, 1, k, 0)
 
 
-def _side_counts(n: int, k: int) -> list:
-    """f[i] = kangulation_count(i+1, k) for i <= n/2, the sub-polygon counts
-    one call needs: only i = 1 (mod k-2) is nonzero, where
-    f[i] = fuss_catalan((i-1)/(k-2), k-1), read from the per-k prefix table
-    that all recursion and fixed-vertex calls share."""
-    f = [0] * (n // 2 + 1)
-    f[1 :: k - 2] = _fuss_catalan_prefix((n // 2 - 1) // (k - 2), k - 1)
-    return f
+def _central(n: int, k: int):
+    """What one central recursion needs: ``(c, diameter, families)``.
+
+    c[j] = F(j, k-1), the k-angulations of a sub-polygon cut off by a side
+    of length 1 + (k-2)j, for every j whose side is <= n/2, read from the
+    per-k prefix table that all recursion and fixed-vertex calls share.
+    The diameter term is (n/2) * c[j]^2 for the side n/2 = 1 + (k-2)j, and
+    zero unless n is even and (n/2 - 1) is divisible by k-2.  The families
+    are those of :func:`_families`, none unless k sides of lengths
+    1 + (k-2)j can sum to n, that is unless (n - k) is divisible by k-2.
+    """
+    j, r = divmod(n // 2 - 1, k - 2)
+    c = _fuss_catalan_prefix(j, k - 1)
+    diameter = (n // 2) * c[j] ** 2 if n % 2 == 0 and not r else 0
+    m, r = divmod(n - k, k - 2)
+    return c, diameter, () if r else _families(n, k, m, c)
 
 
 def _central_terms(n: int, k: int) -> Iterator:
     """The terms of the central-component recursion as ``(shape, count)``.
 
-    For even n the diameter term (DIAMETER, (n/2) * f[n/2]^2) comes first
-    (zero when no k-angulation has a diameter); then, in lexicographic order,
-    one term per sorted k-tuple of side lengths < n/2 summing to n: the
-    placement multiplicity times the product of f[i], where
-    f[i] = kangulation_count(i+1, k) is tabulated once per call for i <= n/2.
-    Only side lengths = 1 (mod k-2) bound a k-angulable sub-polygon, so no
-    other is generated.  The multiplicity n * k! / (k * prod(r!)) over the
-    run lengths r of the sorted tuple is the value of :func:`placement_count`,
-    read without its validation, once per family of :func:`_families`.
+    For even n the diameter term (DIAMETER, count) of :func:`_central` comes
+    first (zero when no k-angulation has a diameter); then, in
+    lexicographic order, one term per sorted k-tuple of side lengths < n/2
+    summing to n whose sub-polygons are all k-angulable: the placement
+    multiplicity times the product of c[j] over its indices j, where the
+    side of index j has length 1 + (k-2)j.  The multiplicity
+    n * k! / (k * prod(r!)) over the run lengths r of the sorted tuple is
+    the value of :func:`placement_count`, read without its validation, once
+    per family of :func:`_families`.
     """
-    f = _side_counts(n, k)
+    c, diameter, families = _central(n, k)
     if n % 2 == 0:
-        yield DIAMETER, (n // 2) * f[n // 2] ** 2
-    for prefix, sides, total, product, multiplicity in _families(n, k, f):
+        yield DIAMETER, diameter
+    step = k - 2
+    for prefix, indices, total, product, multiplicity in families:
         weight = multiplicity * product
-        for a in sides:
-            yield (*prefix, a, total - a), weight * f[a] * f[total - a]
+        head = tuple(1 + step * j for j in prefix)
+        for a in indices:
+            yield (*head, 1 + step * a, 1 + step * (total - a)), weight * c[a] * c[total - a]
 
 
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
     :func:`_central_terms`, with each family of :func:`_families` summed as
-    one dot product of f over its sides a with f over their partners total - a."""
-    f = _side_counts(n, k)
-    result = (n // 2) * f[n // 2] ** 2 if n % 2 == 0 else 0
-    for _, sides, total, product, multiplicity in _families(n, k, f):
-        result += multiplicity * product * sum([f[a] * f[total - a] for a in sides])
+    one dot product of c over its indices a with c over their partners total - a."""
+    c, result, families = _central(n, k)
+    for _, indices, total, product, multiplicity in families:
+        result += multiplicity * product * sum([c[a] * c[total - a] for a in indices])
     return result
 
 
@@ -145,8 +151,8 @@ def central_recursion_rhs(n: int) -> int:
     """Triangulation count of an n-gon by central component.
 
     Diameter term (n/2) * C(n/2-1)^2 for even n, plus the sum over sorted
-    triples i <= j <= k < n/2 with i+j+k = n of the placement multiplicity
-    times C(i-1) C(j-1) C(k-1).  Equals catalan(n-2).
+    index triples a <= b <= c with a+b+c = n-3 and sides 1+c < n/2 of the
+    placement multiplicity times C(a) C(b) C(c).  Equals catalan(n-2).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -157,9 +163,9 @@ def quad_recursion_rhs(n: int) -> int:
     """Quadrangulation count of a (2n+2)-gon by central component.
 
     Diameter term (n+1) * Q(n/2)^2 (zero for odd n by the half-integer
-    convention) plus the sum over sorted quadruples of side lengths < n+1
-    summing to 2n+2.  Even side lengths contribute zero and are skipped.
-    Equals quadrangulation_count(n).
+    convention) plus the sum over sorted quadruples of odd side lengths
+    1 + 2j < n+1 summing to 2n+2, that is of indices j summing to n-1, each
+    side weighted by Q(j).  Equals quadrangulation_count(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,11 +175,12 @@ def quad_recursion_rhs(n: int) -> int:
 def kang_recursion_rhs(n: int, k: int = 3) -> int:
     """k-angulation count of an n-gon by central component.
 
-    Diameter term (n/2) * f(n/2+1)^2 (squared factor; the unsquared variant
-    is already wrong at n=6, k=3) plus the sum over sorted k-tuples of side
-    lengths < n/2 summing to n.  Terms whose side lengths cannot bound a
-    k-angulable sub-polygon vanish and are skipped.  Requires n > k with
-    n = 2 (mod k-2); equals kangulation_count(n, k).
+    Diameter term (n/2) * F(j, k-1)^2 where n/2 = 1 + (k-2)j (squared
+    factor; the unsquared variant is already wrong at n=6, k=3), plus the sum
+    over sorted k-tuples of side lengths 1 + (k-2)j < n/2 summing to n, that
+    is of Fuss-Catalan indices j summing to (n-k)/(k-2), each side weighted
+    by F(j, k-1).  No other side length cuts off a k-angulable sub-polygon.
+    Requires n > k with n = 2 (mod k-2); equals kangulation_count(n, k).
     """
     if k < 3:
         raise ValueError("k must be >= 3")

@@ -23,15 +23,6 @@ def _integral(x) -> int | None:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def binomial(n: int, k: int) -> int:
-    """n choose k; 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:

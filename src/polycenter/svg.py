@@ -80,7 +80,7 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
             'fill="#ffd24d" fill-opacity="0.65" stroke="#c0392b" stroke-width="0.02"/>'
         )
     lines.append(outline)
-    for a, b in d.sorted_diagonals():
+    for a, b in sorted(d.diagonals):
         lines.append(line(a, b, "diagonal", "#2b6cb0", "0.012"))
     if highlight_central and central.diameter is not None:
         lines.append(line(*central.diameter, "central", "#c0392b", "0.03"))

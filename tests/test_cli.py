@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,11 @@ from math import comb
 
 import pytest
 
-from polycenter import Dissection, central_census, kangulation_count, render_svg
+from polycenter import Dissection, central_census, fuss_catalan, kangulation_count, render_svg
+from polycenter import cli
 from polycenter.cli import (
     CONGRUENCE_LIMIT,
+    COUNT_LIMIT,
     ENUMERATION_LIMIT,
     FIXED_VERTEX_LIMIT,
     RENDER_LIMIT,
@@ -280,6 +283,55 @@ class TestCongruenceLimit:
         assert done.stderr == f"error: max=1000000000000 is above the limit of {CONGRUENCE_LIMIT}\n"
 
 
+class TestCountLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalan", "705920"],  # the smallest refused Catalan index
+            ["catalan", "1000000", "--mod", "7"],
+            ["fuss", "1000000", "5"],
+            ["kang", "2000002", "4"],
+            ["quad", "1000000"],
+            ["catalan", "9" * 400],  # past the float range
+            ["fuss", "120", "9" * 4000],
+        ],
+    )
+    def test_refused_before_counting(self, argv):
+        # A subprocess with a timeout fails, rather than hangs, if the
+        # refusal is lost and the count starts.
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == ""
+        match = re.fullmatch(
+            rf"error: the count has about (\d+) digits, which is above the limit of {COUNT_LIMIT}\n", done.stderr
+        )
+        assert match and int(match[1]) > COUNT_LIMIT
+
+    def test_inadmissible_count_prints_zero(self, capsys):
+        assert run(["kang", "1000001", "4"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 7, 1000, 10**20])
+    def test_estimate_brackets_the_digits(self, monkeypatch, s):
+        # The estimate never falls below the true digit count and exceeds
+        # it by a few digits at most, so the limit refuses every count
+        # above it and admits every count some digits below it.
+        limit = 600
+        monkeypatch.setattr(cli, "COUNT_LIMIT", limit)
+        for m in range(1, 2 * limit):
+            digits = len(str(fuss_catalan(m, s)))
+            if digits > limit + 1:
+                with pytest.raises(ValueError, match=f"above the limit of {limit}"):
+                    cli._check_count((s - 1) * m + 2, s + 1)
+                break
+            if digits < limit - 5:
+                cli._check_count((s - 1) * m + 2, s + 1)
+
+
 class TestCensusCommand:
     def test_json(self, capsys):
         assert run(["census", "6", "--k", "3", "--json"]) == 0
@@ -487,7 +539,7 @@ class TestSvgDocument:
 
         d = Dissection(12, parse_diagonals(FIGURE_STYLE_12GON))
         c = central_component(d)
-        assert not c.is_diameter
+        assert c.diameter is None
         assert sorted(face_arcs(c.cell, 12)) == [3, 4, 5]
         central = elements_with_class(render_svg(d), "central")
         assert len(central) == 1

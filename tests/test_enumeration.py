@@ -12,7 +12,6 @@ from polycenter import (
     count_vertex0_outside,
     catalan,
     enumerate_kangulations,
-    enumerate_triangulations,
     fuss_catalan,
     kangulation_count,
     placement_count,
@@ -64,17 +63,17 @@ def _reference_classified(n, k):
 
 class TestTriangulations:
     def test_smallest(self):
-        assert [d.diagonals for d in enumerate_triangulations(3)] == [frozenset()]
-        got = {frozenset(d.diagonals) for d in enumerate_triangulations(4)}
+        assert [d.diagonals for d in enumerate_kangulations(3)] == [frozenset()]
+        got = {frozenset(d.diagonals) for d in enumerate_kangulations(4)}
         assert got == {frozenset({(0, 2)}), frozenset({(1, 3)})}
 
     def test_hexagon_count(self):
-        assert sum(1 for _ in enumerate_triangulations(6)) == 14
+        assert sum(1 for _ in enumerate_kangulations(6)) == 14
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_totals_and_no_duplicates(self, n):
         seen = set()
-        for d in enumerate_triangulations(n):
+        for d in enumerate_kangulations(n):
             assert len(d.diagonals) == n - 3
             seen.add(d.diagonals)
         assert len(seen) == catalan(n - 2)
@@ -202,6 +201,6 @@ class TestVertex0Outside:
     def test_complement(self):
         for n in range(3, 11):
             outside = count_vertex0_outside(n)
-            inside = sum(1 for _ in enumerate_triangulations(n)) - outside
+            inside = sum(1 for _ in enumerate_kangulations(n)) - outside
             assert outside + inside == catalan(n - 2)
             assert inside > 0

@@ -21,7 +21,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.recursions import _central_sum, _central_terms, _families, bounded_partitions
+from polycenter.recursions import _central, _central_sum, _central_terms, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -76,7 +76,9 @@ def reference_terms(n, k):
 class TestCentralTerms:
     @pytest.mark.parametrize("k", range(3, 10))
     def test_terms_match_placement_formula(self, k):
-        for n in range(k, 151, k - 2):
+        # every n, so the inadmissible ones, with a diameter-only or an empty
+        # stream, are compared too
+        for n in range(k, 151):
             expected = reference_terms(n, k)
             assert list(_central_terms(n, k)) == expected, (n, k)
             assert _central_sum(n, k) == sum(count for _, count in expected), (n, k)
@@ -101,15 +103,16 @@ class TestCentralTerms:
         assert terms == reference_terms(n, k)
 
     def test_families_split_where_the_multiplicity_changes(self):
+        # for k = 3 the side of index j has length j + 1
         n = 30
-        f = [kangulation_count(i + 1, 3) for i in range(n // 2 + 1)]
-        families = [(list(sides), m) for prefix, sides, _, _, m in _families(n, 3, f) if prefix == (8,)]
-        # a == 8 extends the run of the prefix; 8 < a < 11 share one
-        # multiplicity; a == 11 pairs with itself
+        _, _, families = _central(n, 3)
+        families = [(list(indices), m) for prefix, indices, _, _, m in families if prefix == (7,)]
+        # a == 7 extends the run of the prefix; 7 < a < 10 share one
+        # multiplicity; a == 10 pairs with itself
         assert families == [
-            ([8], placement_count((8, 8, 14), n)),
-            ([9, 10], placement_count((8, 9, 13), n)),
-            ([11], placement_count((8, 11, 11), n)),
+            ([7], placement_count((8, 8, 14), n)),
+            ([8, 9], placement_count((8, 9, 13), n)),
+            ([10], placement_count((8, 11, 11), n)),
         ]
 
 

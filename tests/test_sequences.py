@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from polycenter import (
     ballot_T,
-    binomial,
     catalan,
     catalan_mod,
     fuss_catalan,
@@ -20,15 +19,6 @@ from polycenter import (
 )
 from polycenter import sequences
 from polycenter.sequences import _fuss_catalan_prefix, fuss_catalan_sweep
-
-
-def pascal_triangle(rows):
-    """Independent oracle: Pascal's rule, addition only."""
-    tri = [[1]]
-    for r in range(1, rows + 1):
-        prev = tri[-1]
-        tri.append([1] + [prev[i - 1] + prev[i] for i in range(1, r)] + [1])
-    return tri
 
 
 def catalan_by_convolution(limit):
@@ -45,30 +35,6 @@ def catalan_mod_by_convolution(limit, m):
     for n in range(limit):
         vals.append(sum(vals[i] * vals[n - i] for i in range(n + 1)) % m)
     return vals
-
-
-class TestBinomial:
-    def test_empty_product(self):
-        assert binomial(0, 0) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, 7) == 0
-        assert binomial(5, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_against_pascal(self):
-        tri = pascal_triangle(30)
-        for n in range(31):
-            for k in range(n + 1):
-                assert binomial(n, k) == tri[n][k]
-        assert binomial(6, 2) == 15
-
-    @given(st.integers(0, 200), st.integers(-5, 205))
-    def test_pascal_rule(self, n, k):
-        assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
 
 
 class TestCatalan:
