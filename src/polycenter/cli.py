@@ -42,6 +42,15 @@ from .svg import render_svg
 #: triangulations of the 16-gon and refuses the 9,694,845 of the 17-gon.
 ENUMERATION_LIMIT = 3_000_000
 
+#: Largest n that a brute-force command accepts.  Below ENUMERATION_LIMIT
+#: the cost still grows with the cell size k: each cell is built and
+#: classified in O(k), and nearly every cell of a few-cell dissection is a
+#: distinct central component.  Four cells per dissection is the slowest
+#: case, so census 358 --k 91 (1,927,830 dissections) ends in about 28 s
+#: with a peak RSS near 610 MiB, where census 414 --k 105 takes 41 s and
+#: 1 GiB.
+ENUMERATION_N_LIMIT = 360
+
 #: Largest --max that verify congruence accepts.  Its residue sweep costs a
 #: few µs an index, so a run at the limit ends in about 30 s, where
 #: --max 1000000000000 would run for weeks.
@@ -134,7 +143,8 @@ def _cmd_quad(args) -> int:
 
 
 def _preflight(n: int, k: int) -> None:
-    """Refuse, before enumerating, a brute-force run above ENUMERATION_LIMIT.
+    """Refuse, before enumerating, a brute-force run above ENUMERATION_LIMIT
+    dissections or ENUMERATION_N_LIMIT vertices.
 
     The run enumerates kangulation_count(n, k) dissections: the Fuss-Catalan
     number F(m) with parameter k-1 when n = (k-2)m + 2, else none.  F is
@@ -147,6 +157,8 @@ def _preflight(n: int, k: int) -> None:
     m, r = divmod(n - 2, k - 2)
     if r == 0 and m >= 0 and any(value > ENUMERATION_LIMIT for value in fuss_catalan_sweep(m, k - 1)):
         raise ValueError(f"n={n}, k={k} would enumerate more than {ENUMERATION_LIMIT} dissections")
+    if n > ENUMERATION_N_LIMIT:
+        raise ValueError(f"n={n} is above the limit of {ENUMERATION_N_LIMIT}")
 
 
 def _shape_text(shape) -> str:

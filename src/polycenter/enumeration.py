@@ -3,8 +3,9 @@
 These generators are the ground-truth oracle: they build every dissection
 explicitly by cell choice on a base edge and never consult the closed-form
 counts they are used to check.  A region is the run of vertex labels lo..hi
-on its base edge (lo, hi); a cell picks k-2 labels inside it, and each side
-of the cell that is a diagonal is the next region to fill.
+on its base edge (lo, hi); a cell splits it into k-1 sides, each of length
+1 + (k-2)j for a Fuss-Catalan index j, and each side of the cell that is a
+diagonal is the next region to fill.
 
 :func:`_classified` walks these choices depth-first on one explicit stack,
 appending to one list of diagonals and truncating it to backtrack, so the
@@ -22,31 +23,36 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
-from .model import DIAMETER, CentralComponent, Dissection, contains_vertex, face_arcs
+from .model import DIAMETER, CentralComponent, Dissection, contains_vertex
 
 
 def _cells(lo: int, hi: int, k: int, n: int) -> list:
     """Every admissible cell on the base edge (lo, hi), each classified once.
 
-    A cell is ``(lo, *mids, hi)`` with k-2 labels chosen inside the interval,
-    admissible when each of its sides has a multiple of k-2 labels strictly
-    inside it.  Each entry is ``(diagonals, sides, central)``: the cell's own
-    diagonals, the same diagonals reversed (the sides still to fill, in push
-    order), and the :class:`CentralComponent` of the n-gon when the cell is
-    it or has it as a side, else None.
+    A cell is ``(lo, *mids, hi)``.  A side cuts off a k-angulable region
+    only when its length is 1 + (k-2)j, and the k-1 indices j of a cell sum
+    to (hi-lo-1)/(k-2) - 1, so each cell is one composition of that sum:
+    k-2 bars placed among its stars, bar i at position b putting mids[i] at
+    lo + 1 + i + (k-2)(b-i).  Every candidate is admissible, and the cells
+    come in lexicographic order of their mids.  Each entry is
+    ``(diagonals, sides, central)``: the cell's own diagonals, the same
+    diagonals reversed (the sides still to fill, in push order), and the
+    :class:`CentralComponent` of the n-gon when the cell is it or has it as
+    a side, else None.
     """
+    step = k - 2
+    labels = tuple(range(lo + 1, hi))  # one int object per label, shared by the cells
     out = []
-    for mids in combinations(range(lo + 1, hi), k - 2):
-        cell = (lo, *mids, hi)
-        sides = tuple(zip(cell, cell[1:]))
-        if any((b - a - 1) % (k - 2) for a, b in sides):
-            continue
-        cell_diags = tuple((a, b) for a, b in sides if b - a > 1)
+    for bars in combinations(range((hi - lo - 1) // step + k - 3), step):
+        cell = (lo, *[labels[i + step * (b - i)] for i, b in enumerate(bars)], hi)
+        cell_diags = tuple((a, b) for a, b in zip(cell, cell[1:]) if b - a > 1)
         central = None
         for a, b in cell_diags:
             if 2 * (b - a) == n:
                 central = CentralComponent(n, diameter=(a, b))
-        if central is None and all(2 * a < n for a in face_arcs(cell, n)):
+        # central when all arcs are below n/2: sides of length 1 always are,
+        # which leaves its diagonals and the arc n - (hi - lo) outside its base
+        if central is None and 2 * (hi - lo) > n and all(2 * (b - a) < n for a, b in cell_diags):
             central = CentralComponent(n, cell=cell)
         out.append((cell_diags, cell_diags[::-1], central))
     return out

@@ -92,7 +92,10 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
             else:
                 yield head, range(lo, hi + 1), rest, weight, _exact_div(arrangements, sym)
 
-    return walk((), 0, m, 1, k, 0)
+    # A sorted k-tuple summing to m starts with at least k - m zeros, and
+    # c[0] = 1: place them as one run, so the walk recurses at most m levels.
+    zeros = min(k - 3, max(0, k - m))
+    return walk((0,) * zeros, 0, m, 1, k * factorial(zeros), zeros)
 
 
 def _central(n: int, k: int):

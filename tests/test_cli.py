@@ -18,6 +18,7 @@ from polycenter.cli import (
     CONGRUENCE_LIMIT,
     COUNT_LIMIT,
     ENUMERATION_LIMIT,
+    ENUMERATION_N_LIMIT,
     FIXED_VERTEX_LIMIT,
     RENDER_LIMIT,
     _preflight,
@@ -119,6 +120,16 @@ class TestVerifyCommands:
     def test_recursion_quad_and_kang(self, capsys):
         assert run(["verify", "recursion", "--kind", "quad", "--max", "10"]) == 0
         assert run(["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "30"]) == 0
+
+    def test_recursion_kang_with_large_k(self):
+        # The central walk once recursed per index and raised RecursionError
+        # at k = 2000, an uncaught traceback read as a counterexample.
+        argv = ["verify", "recursion", "--kind", "kang", "--k", "2000", "--max", "5000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "n=3998 OK\nverified 1 cases\n"
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_recursion_kang_rejects_small_k(self, capsys, k):
@@ -263,6 +274,49 @@ class TestEnumerationLimit:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == f"error: n={n}, k=3 would enumerate more than {ENUMERATION_LIMIT} dissections\n"
+
+
+    def test_n_limit_admits_the_limit_and_refuses_above(self):
+        # one cell (n = k) and two cells (n = 2k - 2): few dissections
+        for k in (ENUMERATION_N_LIMIT, ENUMERATION_N_LIMIT // 2 + 1):
+            _preflight(ENUMERATION_N_LIMIT, k)
+        with pytest.raises(ValueError, match=f"n={ENUMERATION_N_LIMIT + 1} is above the limit"):
+            _preflight(ENUMERATION_N_LIMIT + 1, ENUMERATION_N_LIMIT + 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", str(ENUMERATION_N_LIMIT + 2), "--k", str(ENUMERATION_N_LIMIT // 2 + 2)],
+            ["verify", "census", str(ENUMERATION_N_LIMIT + 1), "--k", str(ENUMERATION_N_LIMIT + 1)],
+            ["verify", "census", "3998", "--k", "2000"],
+        ],
+    )
+    def test_large_n_refused_before_enumerating(self, argv):
+        # Few dissections, but each cell costs O(k) to build and classify.
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == ""
+        n = argv[-3]
+        assert done.stderr == f"error: n={n} is above the limit of {ENUMERATION_N_LIMIT}\n"
+
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (["census", "42", "--k", "22"], "diameter\t21\n"),
+            (["verify", "census", "62", "--k", "32"], "census n=62 k=32: verified 1 cases\n"),
+        ],
+    )
+    def test_large_cells_enumerate_quickly(self, argv, stdout):
+        # Cells come as compositions of Fuss-Catalan indices: the root of
+        # the 42-gon for k = 22 has 21 candidates, not C(40, 20).
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, stdout, "")
 
 
 class TestCongruenceLimit:

@@ -128,7 +128,9 @@ class TestClassifiedStream:
 
     @pytest.mark.parametrize(
         "n,k",
-        [(n, 3) for n in range(3, 13)] + [(n, k) for k in (4, 5, 6) for n in range(k, 15)],
+        [(n, 3) for n in range(3, 13)]
+        + [(n, k) for k in (4, 5, 6) for n in range(k, 15)]
+        + [(n, k) for k in range(7, 11) for n in range(k, 2 * k + 3)],
     )
     def test_matches_recursive_reference(self, n, k):
         """Same tuples, same order, same central components as the recursion."""

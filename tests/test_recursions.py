@@ -151,6 +151,11 @@ class TestKangRecursion:
             assert kang_recursion_rhs(n, k) == kangulation_count(n, k)
             n += k - 2
 
+    def test_large_k_walks_a_shallow_stack(self):
+        # 2000 indices summing to 1: the 1998 leading zeros are placed as
+        # one run, so the walk does not recurse once per index
+        assert kang_recursion_rhs(3998, 2000) == kangulation_count(3998, 2000) == 1999
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             kang_recursion_rhs(7, 4)  # parity violation
