@@ -27,10 +27,10 @@ from .recursions import (
     quad_recursion_rhs,
 )
 from .sequences import (
+    _fuss_index,
     catalan,
     catalan_mod,
     fuss_catalan,
-    fuss_catalan_sweep,
     kangulation_count,
     quadrangulation_count,
 )
@@ -51,10 +51,17 @@ ENUMERATION_LIMIT = 3_000_000
 #: 1 GiB.
 ENUMERATION_N_LIMIT = 360
 
-#: Largest --max that verify congruence accepts.  Its residue sweep costs a
-#: few µs an index, so a run at the limit ends in about 30 s, where
-#: --max 1000000000000 would run for weeks.
+#: Largest --max that verify congruence accepts.  For odd, mod4 and modp the
+#: residue sweep costs a few µs an index, so a run at the limit ends in about
+#: 30 s, where --max 1000000000000 would run for weeks.
 CONGRUENCE_LIMIT = 10_000_000
+
+#: Largest --max times (k-1) that verify congruence --theorem kangp accepts.
+#: Each of its max/(k-2) ratio steps builds a product of k factors and
+#: strips p from it, so the cost grows as about max*k, most for p = 3:
+#: --p 3 --k 199 --max 10000000 ends in about 32 s, where --p 7 --k 10001
+#: --max 10000000 runs for minutes.
+KANGP_LIMIT = 2_000_000_000
 
 #: Largest n that fixed-vertex accepts.  The cost of its closed form and Dyck
 #: sum grows as about n**2.8, so fixed-vertex 40000 --dyck ends in about 30 s
@@ -105,8 +112,8 @@ def _check_count(n: int, k: int) -> None:
     """
     if k < 3:
         return  # the count rejects k itself
-    m, r = divmod(n - 2, k - 2)
-    if r or m < 0:
+    m = _fuss_index(n, k)
+    if m is None:
         return
     s = k - 1
     t = min(s - 1, 2**52)
@@ -147,15 +154,17 @@ def _preflight(n: int, k: int) -> None:
     dissections or ENUMERATION_N_LIMIT vertices.
 
     The run enumerates kangulation_count(n, k) dissections: the Fuss-Catalan
-    number F(m) with parameter k-1 when n = (k-2)m + 2, else none.  F is
-    nondecreasing in m, so the sweep from F(0) stops at the first value past
-    the limit, after at most about 20 steps for any k, where the exact count
-    of a large n would take minutes and print thousands of digits.
+    number F(m, k-1) when n = (k-2)m + 2, else none.  F(m, s) is
+    nondecreasing in m and at least the Catalan number C(m) >= 2**(m-1), so
+    every index from cap = ENUMERATION_LIMIT.bit_length() + 1 on is past the
+    limit, and one value at min(m, cap) decides: a binomial of at most cap
+    factors, where the exact count of a large n would take minutes and
+    print thousands of digits.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    m, r = divmod(n - 2, k - 2)
-    if r == 0 and m >= 0 and any(value > ENUMERATION_LIMIT for value in fuss_catalan_sweep(m, k - 1)):
+    m = _fuss_index(n, k)
+    if m is not None and fuss_catalan(min(m, ENUMERATION_LIMIT.bit_length() + 1), k - 1) > ENUMERATION_LIMIT:
         raise ValueError(f"n={n}, k={k} would enumerate more than {ENUMERATION_LIMIT} dissections")
     if n > ENUMERATION_N_LIMIT:
         raise ValueError(f"n={n} is above the limit of {ENUMERATION_N_LIMIT}")
@@ -195,6 +204,8 @@ def _verify_congruence(args) -> int:
     if args.max > CONGRUENCE_LIMIT:
         raise ValueError(f"max={args.max} is above the limit of {CONGRUENCE_LIMIT}")
     theorem = Theorem(args.theorem)
+    if theorem is Theorem.MODP_KANGULATION and args.max * (args.k - 1) > KANGP_LIMIT:
+        raise ValueError(f"max*(k-1)={args.max * (args.k - 1)} is above the limit of {KANGP_LIMIT}")
     report = verify_congruence(theorem, args.max, p=args.p, k=args.k)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -210,7 +221,7 @@ def _verify_census(args) -> int:
     _preflight(n, k)  # also rejects k < 3
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if (n - 2) % (k - 2):
+    if _fuss_index(n, k) is None:
         raise ValueError(f"n={n} violates n = 2 (mod {k - 2})")
     expected = {shape: count for shape, count in _central_terms(n, k) if count}
     enumerated = {e.key: e.count for e in central_census(n, k)}

@@ -4,9 +4,10 @@ Each verifier sweeps a parameter range, compares predicted against actual
 residues, and returns a machine-readable report carrying the number of
 indices compared and the first counterexample (in index order) if any.  The
 actual residues are computed exactly, never predicted: one sweep steps the
-Fuss-Catalan ratio F(m+1)/F(m) of ``fuss_catalan_sweep`` in the form
-F(m) = p**v * num / den, with v the exact p-adic valuation and the p-free
-num and den kept mod p**e, so no value grows with the range.
+Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratios``, which the exact
+prefix table also steps, in the form F(m) = p**v * num / den, with v the
+exact p-adic valuation and the p-free num and den kept mod p**e, so no
+value grows with the range.
 """
 
 from __future__ import annotations

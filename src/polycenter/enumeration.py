@@ -24,6 +24,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .model import DIAMETER, CentralComponent, Dissection, contains_vertex
+from .sequences import _fuss_index
 
 
 def _cells(lo: int, hi: int, k: int, n: int) -> list:
@@ -76,7 +77,7 @@ def _classified(n: int, k: int) -> Iterator:
         raise ValueError("k must be >= 3")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    if (n - 2) % (k - 2):
+    if _fuss_index(n, k) is None:
         return
     table: dict = {}
     diags: list = []

@@ -11,7 +11,7 @@ from math import factorial
 from typing import Iterator
 
 from .model import DIAMETER
-from .sequences import _exact_div, _fuss_catalan_prefix
+from .sequences import _exact_div, _fuss_catalan_prefix, _fuss_index
 
 
 def bounded_partitions(
@@ -106,14 +106,15 @@ def _central(n: int, k: int):
     per-k prefix table that all recursion and fixed-vertex calls share.
     The diameter term is (n/2) * c[j]^2 for the side n/2 = 1 + (k-2)j, and
     zero unless n is even and (n/2 - 1) is divisible by k-2.  The families
-    are those of :func:`_families`, none unless k sides of lengths
-    1 + (k-2)j can sum to n, that is unless (n - k) is divisible by k-2.
+    are those of :func:`_families`, none unless the n-gon has k-angulations,
+    that is unless n = (k-2)m + 2: then the k sides of a central cell have
+    indices summing to m - 1.
     """
     j, r = divmod(n // 2 - 1, k - 2)
     c = _fuss_catalan_prefix(j, k - 1)
     diameter = (n // 2) * c[j] ** 2 if n % 2 == 0 and not r else 0
-    m, r = divmod(n - k, k - 2)
-    return c, diameter, () if r else _families(n, k, m, c)
+    m = _fuss_index(n, k)
+    return c, diameter, () if m is None else _families(n, k, m - 1, c)
 
 
 def _central_terms(n: int, k: int) -> Iterator:
@@ -187,10 +188,10 @@ def kang_recursion_rhs(n: int, k: int = 3) -> int:
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    if (n - 2) % (k - 2):
-        raise ValueError(f"n={n} violates n = 2 (mod {k - 2})")
     if n <= k:
         raise ValueError("recursion domain is n > k; use kangulation_count for n = k")
+    if _fuss_index(n, k) is None:
+        raise ValueError(f"n={n} violates n = 2 (mod {k - 2})")
     return _central_sum(n, k)
 
 

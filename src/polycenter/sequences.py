@@ -10,7 +10,7 @@ in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import count, islice
 from math import comb, prod
 
 
@@ -47,25 +47,6 @@ def fuss_catalan(n: int, k: int) -> int:
     return _exact_div(comb(k * n, n), (k - 1) * n + 1)
 
 
-def fuss_catalan_sweep(max_m: int, k: int = 2):
-    """Iterate over fuss_catalan(m, k) for m = 0..max_m; Catalan numbers for k = 2.
-
-    Each term comes from the previous one by the exact ratio
-
-        F(m+1) / F(m) = prod_{j=1..k}(km + j) / ((m+1) prod_{j=2..k}((k-1)m + j)),
-
-    so a step multiplies and divides the running value by small ints instead
-    of computing a fresh binomial.  The product divides exactly because
-    F(m+1) is an integer, and every division is checked.  The arguments are
-    checked when the function is called, not when iteration starts.
-    """
-    if max_m < 0:
-        raise ValueError("max_m must be >= 0")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return chain((1,), islice(_fuss_catalan_steps(k, 0, 1), max_m))
-
-
 def _ratios(k: int, start: int = 0):
     """F(m+1)/F(m) for m = start, start + 1, ... as (numerator, denominator), products of k small ints."""
     top, bottom = k * start + 1, (k - 1) * start + 2  # the first factors, km + 1 and (k-1)m + 2
@@ -75,13 +56,6 @@ def _ratios(k: int, start: int = 0):
         bottom += k - 1
 
 
-def _fuss_catalan_steps(k: int, m: int, value: int):
-    """F(m+1), F(m+2), ... with parameter k, stepped from value = F(m)."""
-    for num, den in _ratios(k, m):
-        value = _exact_div(value * num, den)
-        yield value
-
-
 #: k -> [F(0), F(1), ...] with parameter k, as far as any caller has asked.
 _prefixes: dict = {}
 
@@ -89,20 +63,34 @@ _prefixes: dict = {}
 def _fuss_catalan_prefix(max_m: int, k: int) -> list:
     """[fuss_catalan(m, k) for m in range(max_m + 1)] as a new list.
 
-    The values come from one grow-only table per k, shared by the central
-    recursions and the fixed-vertex forms: a request past the end of the
-    table steps _ratios(k) on from where it ends, with every division
-    checked, so each F(m) is computed once per process.  The table for k is
-    never longer than the longest list a single call has asked for, which
-    that call holds anyway.  fuss_catalan_sweep does not use it and stays lazy.
+    The one exact stepper of the Fuss-Catalan numbers.  The values come
+    from one grow-only table per k, shared by the central recursions and
+    the fixed-vertex forms: a request past the end of the table steps the
+    ratios F(m+1)/F(m) of _ratios(k) on from where it ends, with every
+    division checked, so each F(m) is computed once per process.  The table
+    for k is never longer than the longest list a single call has asked
+    for, which that call holds anyway.
     """
     table = _prefixes.get(k, [1])
     if len(table) <= max_m:
         # A grown copy replaces the list, so no caller, in any thread, sees a
         # table that is half extended or extended twice from one end.
-        table = [*table, *islice(_fuss_catalan_steps(k, len(table) - 1, table[-1]), max_m + 1 - len(table))]
-        _prefixes[k] = table
+        grown, value = table.copy(), table[-1]
+        for num, den in islice(_ratios(k, len(table) - 1), max_m + 1 - len(table)):
+            value = _exact_div(value * num, den)
+            grown.append(value)
+        _prefixes[k] = table = grown
     return table[: max_m + 1]
+
+
+def _fuss_index(n: int, k: int) -> int | None:
+    """The Fuss-Catalan index m >= 0 with n = (k-2)m + 2, or None when there is none.
+
+    An n-gon has k-angulations (k >= 3) exactly when m exists, and then
+    F(m, k-1) of them with m cells.  This is the one place that maps n to m.
+    """
+    m, r = divmod(n - 2, k - 2)
+    return m if m >= 0 and not r else None
 
 
 def quadrangulation_count(n) -> int:
@@ -123,12 +111,8 @@ def kangulation_count(n, k: int = 3) -> int:
     if k < 3:
         raise ValueError("k must be >= 3")
     i = _integral(n)
-    if i is None:
-        return 0
-    m, r = divmod(i - 2, k - 2)
-    if r or m < 0:
-        return 0
-    return fuss_catalan(m, k - 1)
+    m = None if i is None else _fuss_index(i, k)
+    return 0 if m is None else fuss_catalan(m, k - 1)
 
 
 def ballot_T(n: int, k: int) -> int:
@@ -145,7 +129,7 @@ def catalan_mod(n: int, m: int) -> int:
 
     Unlike catalan, a negative n raises ValueError.  Each call computes one
     binomial.  For residues over a range of n, the congruence verifiers step
-    the ratio of fuss_catalan_sweep in residues mod p**e instead, with the
+    the ratio F(m+1)/F(m) of _ratios in residues mod p**e instead, with the
     powers of p counted exactly and no bigint.
     """
     if n < 0:

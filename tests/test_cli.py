@@ -20,6 +20,7 @@ from polycenter.cli import (
     ENUMERATION_LIMIT,
     ENUMERATION_N_LIMIT,
     FIXED_VERTEX_LIMIT,
+    KANGP_LIMIT,
     RENDER_LIMIT,
     _preflight,
     run,
@@ -238,6 +239,7 @@ class TestEnumerationLimit:
             ["fixed-vertex", "30", "--brute"],
             ["verify", "census", "17"],
             ["fixed-vertex", "20000", "--brute"],
+            ["census", str(30 * (10**6 - 2) + 2), "--k", str(10**6)],  # 30 cells of a million vertices
         ],
     )
     def test_refused_before_enumerating(self, capsys, argv):
@@ -276,6 +278,15 @@ class TestEnumerationLimit:
         assert done.stderr == f"error: n={n}, k=3 would enumerate more than {ENUMERATION_LIMIT} dissections\n"
 
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_preflight_refuses_around_the_index_cap(self, k):
+        # Every index from the cap on counts more than 2**(cap - 1) dissections.
+        cap = ENUMERATION_LIMIT.bit_length() + 1
+        for m in (cap - 1, cap, cap + 1, 60):
+            n = (k - 2) * m + 2
+            with pytest.raises(ValueError, match=f"^n={n}, k={k} would enumerate more than {ENUMERATION_LIMIT} "):
+                _preflight(n, k)
+
     def test_n_limit_admits_the_limit_and_refuses_above(self):
         # one cell (n = k) and two cells (n = 2k - 2): few dissections
         for k in (ENUMERATION_N_LIMIT, ENUMERATION_N_LIMIT // 2 + 1):
@@ -289,6 +300,9 @@ class TestEnumerationLimit:
             ["census", str(ENUMERATION_N_LIMIT + 2), "--k", str(ENUMERATION_N_LIMIT // 2 + 2)],
             ["verify", "census", str(ENUMERATION_N_LIMIT + 1), "--k", str(ENUMERATION_N_LIMIT + 1)],
             ["verify", "census", "3998", "--k", "2000"],
+            ["census", "300000", "--k", "300000"],
+            ["verify", "census", "300000", "--k", "300000"],
+            ["census", "1000000", "--k", "1000000"],
         ],
     )
     def test_large_n_refused_before_enumerating(self, argv):
@@ -335,6 +349,28 @@ class TestCongruenceLimit:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == f"error: max=1000000000000 is above the limit of {CONGRUENCE_LIMIT}\n"
+
+    def test_kangp_refused_above_its_cap(self):
+        # Each ratio step of kangp multiplies k factors: max * (k-1) is capped.
+        argv = ["verify", "congruence", "--theorem", "kangp", "--p", "7", "--k", "10001", "--max", "10000000"]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: max*(k-1)=100000000000 is above the limit of {KANGP_LIMIT}\n"
+
+    def test_kangp_cap_admits_the_cap(self, capsys):
+        # For k = 2000001 every n <= max is below k, so both runs sweep no
+        # index and end at once; the other theorems ignore --k.
+        k = 2_000_001
+        argv = ["verify", "congruence", "--theorem", "kangp", "--p", "7", "--k", str(k), "--max"]
+        assert run([*argv, str(KANGP_LIMIT // (k - 1))]) == 0
+        assert run([*argv, str(KANGP_LIMIT // (k - 1) + 1)]) == 2
+        assert run(["verify", "congruence", "--theorem", "odd", "--k", str(k), "--max", "1000"]) == 0
+        assert capsys.readouterr().err == f"error: max*(k-1)={2 * 10**9 + 2 * 10**6} is above the limit of {KANGP_LIMIT}\n"
 
 
 class TestCountLimit:

@@ -4,7 +4,6 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import repeat
-from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +17,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.sequences import _fuss_catalan_prefix, fuss_catalan_sweep
+from polycenter.sequences import _fuss_catalan_prefix, _fuss_index
 
 
 def catalan_by_convolution(limit):
@@ -70,22 +69,6 @@ class TestFussCatalan:
     @given(st.integers(0, 60), st.integers(2, 8))
     def test_always_integral(self, n, k):
         assert fuss_catalan(n, k) >= 1
-
-
-class TestFussCatalanSweep:
-    @pytest.mark.parametrize("k", range(2, 8))
-    def test_against_comb_reference(self, k):
-        expected = [comb(k * m, m) // ((k - 1) * m + 1) for m in range(301)]
-        assert list(fuss_catalan_sweep(300, k)) == expected
-
-    def test_default_is_catalan(self):
-        assert list(fuss_catalan_sweep(0)) == [1]
-        assert list(fuss_catalan_sweep(6)) == [1, 1, 2, 5, 14, 42, 132]
-
-    @pytest.mark.parametrize("max_m, k", [(-1, 2), (-5, 3), (3, 1), (3, 0), (0, -2)])
-    def test_bad_args_raise_at_call(self, max_m, k):
-        with pytest.raises(ValueError):
-            fuss_catalan_sweep(max_m, k)
 
 
 class TestFussCatalanPrefix:
@@ -143,6 +126,14 @@ class TestFussCatalanPrefix:
         with pytest.raises(ArithmeticError):
             _fuss_catalan_prefix(5, 2)
         assert sequences._prefixes[2] == [1, 1, 2]
+
+
+class TestFussIndex:
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_matches_its_definition(self, k):
+        for n in range(-5, 61):
+            expected = next((m for m in range(61) if (k - 2) * m + 2 == n), None)
+            assert _fuss_index(n, k) == expected, (n, k)
 
 
 class TestQuadrangulation:
