@@ -4,7 +4,7 @@ Each verifier sweeps a parameter range, compares predicted against actual
 residues, and returns a machine-readable report carrying the number of
 indices compared and the first counterexample (in index order) if any.  The
 actual residues are computed exactly, never predicted: one sweep steps the
-Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratios``, which the exact
+Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratio``, which the exact
 prefix table also steps, in the form F(m) = p**v * num / den, with v the
 exact p-adic valuation and the p-free num and den kept mod p**e, so no
 value grows with the range.
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
-from .sequences import _ratios
+from .sequences import _ratio
 
 
 class Theorem(Enum):
@@ -114,17 +113,17 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
     """(m, fuss_catalan(m, k) % p**e) for each m of the range ms, from one exact residue sweep.
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
-    num, den prime to p and reduced mod q = p**e.  Each ratio step strips
-    the powers of p from its numerator and denominator, each a product of
-    k small factors, into v and multiplies the rests into num and den.  den
-    is inverted only at the indices of ms, so every index up to ms[-1]
+    num, den prime to p and reduced mod q = p**e.  Each step strips the
+    powers of p from the numerator and denominator of _ratio(m, k), two
+    falling factorials, into v and multiplies the rests into num and den.
+    den is inverted only at the indices of ms, so every index up to ms[-1]
     costs a few operations on numbers that do not grow with the range.
     """
     q = p**e
-    ratios = _ratios(k)
     v, num, den, m = 0, 1, 1, 0
     for target in ms:
-        for top, bottom in islice(ratios, target - m):
+        for step in range(m, target):
+            top, bottom = _ratio(step, k)
             while top % p == 0:
                 top //= p
                 v += 1

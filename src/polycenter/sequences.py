@@ -10,8 +10,7 @@ in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
-from math import comb, prod
+from math import comb, perm
 
 
 def _integral(x) -> int | None:
@@ -47,13 +46,14 @@ def fuss_catalan(n: int, k: int) -> int:
     return _exact_div(comb(k * n, n), (k - 1) * n + 1)
 
 
-def _ratios(k: int, start: int = 0):
-    """F(m+1)/F(m) for m = start, start + 1, ... as (numerator, denominator), products of k small ints."""
-    top, bottom = k * start + 1, (k - 1) * start + 2  # the first factors, km + 1 and (k-1)m + 2
-    for m_plus_1 in count(start + 1):
-        yield prod(range(top, top + k)), m_plus_1 * prod(range(bottom, bottom + k - 1))
-        top += k
-        bottom += k - 1
+def _ratio(m: int, k: int) -> tuple:
+    """F(m+1)/F(m) with parameter k as (numerator, denominator).
+
+    F(m, k) = (km)! / (m! ((k-1)m + 1)!), so the ratio is the falling
+    factorial (km+k)!/(km)! over (m+1) times ((k-1)m+k)!/((k-1)m+1)!, each
+    one math.perm.
+    """
+    return perm(k * m + k, k), (m + 1) * perm((k - 1) * m + k, k - 1)
 
 
 #: k -> [F(0), F(1), ...] with parameter k, as far as any caller has asked.
@@ -66,7 +66,7 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
     The one exact stepper of the Fuss-Catalan numbers.  The values come
     from one grow-only table per k, shared by the central recursions and
     the fixed-vertex forms: a request past the end of the table steps the
-    ratios F(m+1)/F(m) of _ratios(k) on from where it ends, with every
+    ratio F(m+1)/F(m) of _ratio(m, k) on from where it ends, with every
     division checked, so each F(m) is computed once per process.  The table
     for k is never longer than the longest list a single call has asked
     for, which that call holds anyway.
@@ -76,7 +76,8 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
         # A grown copy replaces the list, so no caller, in any thread, sees a
         # table that is half extended or extended twice from one end.
         grown, value = table.copy(), table[-1]
-        for num, den in islice(_ratios(k, len(table) - 1), max_m + 1 - len(table)):
+        for m in range(len(table) - 1, max_m):
+            num, den = _ratio(m, k)
             value = _exact_div(value * num, den)
             grown.append(value)
         _prefixes[k] = table = grown
@@ -129,7 +130,7 @@ def catalan_mod(n: int, m: int) -> int:
 
     Unlike catalan, a negative n raises ValueError.  Each call computes one
     binomial.  For residues over a range of n, the congruence verifiers step
-    the ratio F(m+1)/F(m) of _ratios in residues mod p**e instead, with the
+    the ratio F(m+1)/F(m) of _ratio in residues mod p**e instead, with the
     powers of p counted exactly and no bigint.
     """
     if n < 0:

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from itertools import count, repeat
+from itertools import count
 from math import comb
 
 import pytest
@@ -131,6 +131,17 @@ class TestVerifyCommands:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "n=3998 OK\nverified 1 cases\n"
+
+    def test_recursion_kang_with_huge_k(self):
+        # The one case steps the prefix table from F(0) to F(2): two ratios
+        # whose numerators and denominators have about k factors each.
+        # Built one Python multiply at a time, this run took 33 s.
+        argv = ["verify", "recursion", "--kind", "kang", "--k", "200000", "--max", "400000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=15
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "n=399998 OK\nverified 1 cases\n"
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_recursion_kang_rejects_small_k(self, capsys, k):
@@ -561,7 +572,7 @@ class TestInternalError:
 
     def test_negative_valuation_in_residue_sweep_exits_3(self, monkeypatch, capsys):
         # A ratio that divides by 2 at every step drives v_2 below zero.
-        monkeypatch.setattr("polycenter.congruences._ratios", lambda k: repeat((1, 2)))
+        monkeypatch.setattr("polycenter.congruences._ratio", lambda m, k: (1, 2))
         assert run(["verify", "congruence", "--theorem", "odd", "--max", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -213,7 +213,7 @@ class TestResidueSweep:
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_matches_reduced_exact_values(self, k):
-        exact = [fuss_catalan(m, k) for m in range(self.M + 1)]  # from comb, not from _ratios
+        exact = [fuss_catalan(m, k) for m in range(self.M + 1)]  # from comb, not from the stepped ratio
         for p, e in self.MODULI:
             q = p**e
             dense = list(_fuss_catalan_residues(range(self.M + 1), k, p=p, e=e))
@@ -228,6 +228,16 @@ class TestResidueSweep:
                 assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == [(m, exact[m] % q) for m in ms]
             for ms in (range(0), range(9, 3), range(self.M + 1, self.M + 1)):
                 assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == []
+
+    @pytest.mark.parametrize("k", [1000, 1001])
+    def test_large_k_matches_reduced_exact_values(self, k):
+        # Each ratio's numerator and denominator have about k factors, so
+        # the p-strip loop runs on thousand-factor bigints.
+        exact = [fuss_catalan(m, k) for m in range(21)]
+        for p, e in [(3, 1), (7, 1), (2, 2)]:
+            q = p**e
+            residues = list(_fuss_catalan_residues(range(21), k, p=p, e=e))
+            assert residues == [(m, x % q) for m, x in enumerate(exact)], (k, p, e)
 
 
 class TestScaling:

@@ -187,16 +187,15 @@ class TestFixedVertex:
         # central recursion to n = 200 needs no Catalan number past those.
         steps = 0
 
-        def counted(k, *start):
+        def counted(m, k):
             nonlocal steps
-            for ratio in ratios(k, *start):
-                if k == 2:
-                    steps += 1
-                yield ratio
+            if k == 2:
+                steps += 1
+            return ratio(m, k)
 
-        ratios = sequences._ratios
+        ratio = sequences._ratio
         monkeypatch.setattr(sequences, "_prefixes", {})
-        monkeypatch.setattr(sequences, "_ratios", counted)
+        monkeypatch.setattr(sequences, "_ratio", counted)
         assert [fixed_vertex_outside(n) for n in range(4, 301)] == [dyck_formula(n - 2) for n in range(4, 301)]
         assert all(central_recursion_rhs(n) == catalan(n - 2) for n in range(3, 201))
         assert 0 < steps <= 298

@@ -3,7 +3,7 @@
 import sys
 import threading
 from fractions import Fraction
-from itertools import repeat
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +17,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.sequences import _fuss_catalan_prefix, _fuss_index
+from polycenter.sequences import _fuss_catalan_prefix, _fuss_index, _ratio
 
 
 def catalan_by_convolution(limit):
@@ -72,7 +72,7 @@ class TestFussCatalan:
 
 
 class TestFussCatalanPrefix:
-    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k", [*range(2, 8), 1000, 1001])
     def test_any_growth_order_matches_fuss_catalan(self, monkeypatch, k):
         monkeypatch.setattr(sequences, "_prefixes", {})
         expected = [fuss_catalan(m, k) for m in range(301)]
@@ -122,10 +122,20 @@ class TestFussCatalanPrefix:
 
     def test_inexact_step_raises_and_keeps_the_table(self, monkeypatch):
         monkeypatch.setattr(sequences, "_prefixes", {2: [1, 1, 2]})
-        monkeypatch.setattr(sequences, "_ratios", lambda k, start: repeat((1, 3)))
+        monkeypatch.setattr(sequences, "_ratio", lambda m, k: (1, 3))
         with pytest.raises(ArithmeticError):
             _fuss_catalan_prefix(5, 2)
         assert sequences._prefixes[2] == [1, 1, 2]
+
+
+class TestRatio:
+    @pytest.mark.parametrize("k", [*range(2, 9), 1000, 10000])
+    def test_matches_products_and_fuss_catalan(self, k):
+        for m in range(301) if k <= 8 else (0, 1, 7):
+            num, den = _ratio(m, k)
+            assert num == prod(range(k * m + 1, k * m + k + 1)), (m, k)
+            assert den == (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1)), (m, k)
+            assert fuss_catalan(m + 1, k) * den == fuss_catalan(m, k) * num, (m, k)
 
 
 class TestFussIndex:
