@@ -46,8 +46,8 @@ ENUMERATION_LIMIT = 3_000_000
 #: the cost still grows with the cell size k: each cell is built and
 #: classified in O(k), and nearly every cell of a few-cell dissection is a
 #: distinct central component.  Four cells per dissection is the slowest
-#: case, so census 358 --k 91 (1,927,830 dissections) ends in about 28 s
-#: with a peak RSS near 610 MiB, where census 414 --k 105 takes 41 s and
+#: case, so census 358 --k 91 (1,927,830 dissections) ends in about 26 s
+#: with a peak RSS near 590 MiB, where census 414 --k 105 takes 41 s and
 #: 1 GiB.
 ENUMERATION_N_LIMIT = 360
 

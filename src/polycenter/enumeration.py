@@ -50,11 +50,11 @@ def _cells(lo: int, hi: int, k: int, n: int) -> list:
         central = None
         for a, b in cell_diags:
             if 2 * (b - a) == n:
-                central = CentralComponent(n, diameter=(a, b))
+                central = CentralComponent(n, (a, b))
         # central when all arcs are below n/2: sides of length 1 always are,
         # which leaves its diagonals and the arc n - (hi - lo) outside its base
         if central is None and 2 * (hi - lo) > n and all(2 * (b - a) < n for a, b in cell_diags):
-            central = CentralComponent(n, cell=cell)
+            central = CentralComponent(n, cell)
         out.append((cell_diags, cell_diags[::-1], central))
     return out
 

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 #: Shape key of a central component that is a diameter edge.
 DIAMETER = "diameter"
@@ -94,26 +95,21 @@ def face_arcs(face, n: int):
     )
 
 
-@dataclass(frozen=True)
-class CentralComponent:
-    """The diameter edge or cell of a dissection that contains the center."""
+class CentralComponent(NamedTuple):
+    """The component of a dissection that contains the center of the n-gon.
+
+    ``vertices`` is a diameter's 2 endpoints or a central cell's k >= 3
+    sorted vertices.
+    """
 
     n: int
-    diameter: "tuple[int, int] | None" = None
-    cell: "tuple[int, ...] | None" = None
-
-    def __post_init__(self):
-        if (self.diameter is None) == (self.cell is None):
-            raise ValueError("exactly one of diameter/cell must be set")
-
-    def vertices(self):
-        return self.diameter if self.diameter is not None else self.cell
+    vertices: tuple
 
     def shape_key(self):
         """DIAMETER, or the sorted multiset of the cell's cyclic side lengths."""
-        if self.diameter is not None:
+        if len(self.vertices) == 2:
             return DIAMETER
-        return tuple(sorted(face_arcs(self.cell, self.n)))
+        return tuple(sorted(face_arcs(self.vertices, self.n)))
 
 
 def central_component(d: Dissection) -> CentralComponent:
@@ -127,18 +123,18 @@ def central_component(d: Dissection) -> CentralComponent:
     fs = faces(d)
     for x, y in d.diagonals:
         if 2 * (y - x) == d.n:
-            return CentralComponent(d.n, diameter=(x, y))
+            return CentralComponent(d.n, (x, y))
     central = [f for f in fs if all(2 * a < d.n for a in face_arcs(f, d.n))]
     if len(central) != 1:
         raise AssertionError(f"expected one central cell, found {central}")
-    return CentralComponent(d.n, cell=central[0])
+    return CentralComponent(d.n, central[0])
 
 
 def contains_vertex(c: CentralComponent, v: int) -> bool:
     """True iff v is an endpoint of the diameter or a vertex of the central cell."""
     if not 0 <= v < c.n:
         raise ValueError(f"vertex {v} out of range for n={c.n}")
-    return v in c.vertices()
+    return v in c.vertices
 
 
 def placement_count(lengths, n: int) -> int:

@@ -7,7 +7,7 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
-from math import factorial
+from math import perm
 from typing import Iterator
 
 from .model import DIAMETER
@@ -59,11 +59,17 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
     Each multiplicity is one checked division.
     """
     top = ((n - 1) // 2 - 1) // (k - 2)
-    arrangements = n * factorial(k)
+    # A sorted k-tuple summing to m starts with at least k - m zeros, and
+    # c[0] = 1: place them as one run, so the walk recurses at most m levels.
+    # The zeros! of that run cancels in every multiplicity, so neither k!
+    # nor zeros! is built: the numerator n * k! / zeros! is one perm.
+    zeros = min(k - 3, max(0, k - m))
+    arrangements = n * perm(k, k - zeros)
 
     def walk(prefix, last, total, product, symmetry, run):
-        # symmetry is k * prod(r!) over the prefix, accumulated as the product
-        # of each index's position in its run; run is the last run's length.
+        # symmetry is k * prod(r!) / zeros! over the prefix, accumulated as
+        # the product of each index's position in its run past the leading
+        # zeros; run is the last run's length.
         # The first k-3 indices recurse; the loop below places index k-2.
         if len(prefix) < k - 3:
             for j in range(last, min(top, total // (k - len(prefix))) + 1):
@@ -92,10 +98,7 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
             else:
                 yield head, range(lo, hi + 1), rest, weight, _exact_div(arrangements, sym)
 
-    # A sorted k-tuple summing to m starts with at least k - m zeros, and
-    # c[0] = 1: place them as one run, so the walk recurses at most m levels.
-    zeros = min(k - 3, max(0, k - m))
-    return walk((0,) * zeros, 0, m, 1, k * factorial(zeros), zeros)
+    return walk((0,) * zeros, 0, m, 1, k, zeros)
 
 
 def _central(n: int, k: int):

@@ -71,7 +71,7 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
     for k is never longer than the longest list a single call has asked
     for, which that call holds anyway.
     """
-    table = _prefixes.get(k, [1])
+    table = _prefixes.get(k, [1, 1])  # F(0, k) = F(1, k) = 1 for every k
     if len(table) <= max_m:
         # A grown copy replaces the list, so no caller, in any thread, sees a
         # table that is half extended or extended twice from one end.

@@ -74,15 +74,16 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.3 -1.3 2.6 2.6" width="520" height="520">',
     ]
-    if highlight_central and central.cell is not None:
+    diameter = len(central.vertices) == 2
+    if highlight_central and not diameter:
         lines.append(
-            f'<polygon class="central" points="{_points(xs, ys, central.cell)}" '
+            f'<polygon class="central" points="{_points(xs, ys, central.vertices)}" '
             'fill="#ffd24d" fill-opacity="0.65" stroke="#c0392b" stroke-width="0.02"/>'
         )
     lines.append(outline)
     for a, b in sorted(d.diagonals):
         lines.append(line(a, b, "diagonal", "#2b6cb0", "0.012"))
-    if highlight_central and central.diameter is not None:
-        lines.append(line(*central.diameter, "central", "#c0392b", "0.03"))
+    if highlight_central and diameter:
+        lines.append(line(*central.vertices, "central", "#c0392b", "0.03"))
     lines.append(tail)
     return "\n".join(lines)

@@ -197,6 +197,6 @@ def test_criterion_10_svg_renderer():
             assert central[0].tag == f"{ns}{tag}"
             assert len([el for el in root.iter() if el.get("class") == "vertex"]) == d.n
         fig = cases[2][0]
-        assert sorted(face_arcs(central_component(fig).cell, 12)) == [3, 4, 5]
+        assert sorted(face_arcs(central_component(fig).vertices, 12)) == [3, 4, 5]
 
     check(10, "SVG renderer deterministic with one highlight", 30, body)

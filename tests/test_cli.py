@@ -137,8 +137,8 @@ class TestVerifyCommands:
         reason="the 15 s bound is measured only where math.perm multiplies by a product tree (CPython >= 3.11)",
     )
     def test_recursion_kang_with_huge_k(self):
-        # The one case steps the prefix table from F(0) to F(2): two ratios
-        # whose numerators and denominators have about k factors each.
+        # The one case steps the prefix table from F(1) to F(2): one ratio
+        # whose numerator and denominator have about k factors each.
         # Built one Python multiply at a time, this run took 33 s. Before
         # CPython 3.11, math.perm multiplies its factors one at a time too.
         argv = ["verify", "recursion", "--kind", "kang", "--k", "200000", "--max", "400000"]
@@ -451,6 +451,20 @@ class TestCensusCommand:
         assert run(["census", "5"]) == 0
         assert capsys.readouterr().out == "1,2,2\t5\n"
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["census", "14", "--json"], "79e1c13ce42d6c24ba1ec89a14db9d5765273a18673d1d68c8e7857ab9764fcb"),
+            (["census", "14", "--k", "4", "--json"], "dd96913e09ccbda2d9c6f3841c065665dde94641cf4ec578ebd2d927f33bd30f"),
+            (["census", "42", "--k", "22", "--json"], "3088830e849c73238903124a22985e95cf3fce7c3349718a1fd8e6ef69f5aa89"),
+            (["verify", "census", "16", "--json"], "d6723ad2c5260ae29eae25b5be34cb531755053ea8ebee6d714df3a9a561c537"),
+        ],
+        ids=["census-14", "census-14-k4", "census-42-k22", "verify-census-16"],
+    )
+    def test_pinned_bytes(self, capsys, argv, digest):
+        assert run(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestFixedVertexCommand:
     def test_all_routes_agree(self, capsys):
@@ -645,7 +659,7 @@ class TestSvgDocument:
 
         d = Dissection(12, parse_diagonals(FIGURE_STYLE_12GON))
         c = central_component(d)
-        assert c.diameter is None
-        assert sorted(face_arcs(c.cell, 12)) == [3, 4, 5]
+        assert len(c.vertices) == 3
+        assert sorted(face_arcs(c.vertices, 12)) == [3, 4, 5]
         central = elements_with_class(render_svg(d), "central")
         assert len(central) == 1

@@ -40,9 +40,9 @@ def _reference_regions(lo, hi, k, n):
         cell_central = None
         for a, b in cell_diags:
             if 2 * (b - a) == n:
-                cell_central = CentralComponent(n, diameter=(a, b))
+                cell_central = CentralComponent(n, (a, b))
         if cell_central is None and all(2 * a < n for a in face_arcs(cell, n)):
-            cell_central = CentralComponent(n, cell=cell)
+            cell_central = CentralComponent(n, cell)
         sub = [list(_reference_regions(a, b, k, n)) for a, b in sides]
         for parts in product(*sub):
             diags = cell_diags

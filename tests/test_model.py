@@ -8,7 +8,6 @@ import pytest
 
 from polycenter import (
     DIAMETER,
-    CentralComponent,
     Dissection,
     central_component,
     contains_vertex,
@@ -175,32 +174,33 @@ class TestFaces:
 class TestCentralComponent:
     def test_square_diameter(self):
         c = central_component(Dissection(4, {(0, 2)}))
-        assert c.diameter == (0, 2)
+        assert c.vertices == (0, 2)
 
     def test_hexagon_cell(self):
         c = central_component(Dissection(6, {(0, 2), (2, 4), (0, 4)}))
-        assert c.diameter is None and c.cell == (0, 2, 4)
+        assert c.vertices == (0, 2, 4)
         assert c.shape_key() == (2, 2, 2)
 
     def test_hexagon_diameter(self):
         c = central_component(Dissection(6, {(0, 3), (1, 3), (3, 5)}))
-        assert c.diameter == (0, 3)
+        assert c.vertices == (0, 3)
         assert c.shape_key() == DIAMETER
 
-    def test_exactly_one_of_diameter_or_cell(self):
-        with pytest.raises(ValueError):
-            CentralComponent(6)
-        with pytest.raises(ValueError):
-            CentralComponent(6, diameter=(0, 3), cell=(0, 2, 4))
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_two_vertices_exactly_when_a_diameter_is_drawn(self, n):
+        for d in enumerate_kangulations(n):
+            c = central_component(d)
+            has_diameter = any(2 * (y - x) == n for x, y in d.diagonals)
+            assert (len(c.vertices) == 2) == has_diameter
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_unique_classification_exhaustive(self, n):
         for d in enumerate_kangulations(n):
             c = central_component(d)  # raises if not exactly one candidate
             if n % 2 == 1:
-                assert c.diameter is None
-            if c.diameter is None:
-                arcs = face_arcs(c.cell, n)
+                assert len(c.vertices) == 3
+            if len(c.vertices) == 3:
+                arcs = face_arcs(c.vertices, n)
                 assert all(2 * a < n for a in arcs)
                 i, j, k = sorted(arcs)
                 assert i <= j <= k
@@ -218,7 +218,8 @@ class TestCentralComponent:
             for d in enumerate_kangulations(n):
                 c = central_component(d)
                 hits = sum(contains_vertex(c, v) for v in range(n))
-                assert hits == (2 if c.diameter is not None else 3)
+                assert len(c.vertices) in (2, 3)
+                assert hits == len(c.vertices)
 
 
 def lemma_multiplicity_3(i, j, k, n):

@@ -156,6 +156,23 @@ class TestKangRecursion:
         # one run, so the walk does not recurse once per index
         assert kang_recursion_rhs(3998, 2000) == kangulation_count(3998, 2000) == 1999
 
+    def test_large_k_builds_no_ratio(self, monkeypatch):
+        # F(0, k) = F(1, k) = 1 seed every prefix table, and the placement
+        # multiplicity divides the leading zeros' factorial away: a huge k
+        # whose cells have indices summing to 1 builds neither k! nor a ratio
+        calls = 0
+
+        def counted(m, k):
+            nonlocal calls
+            calls += 1
+            return ratio(m, k)
+
+        ratio = sequences._ratio
+        monkeypatch.setattr(sequences, "_prefixes", {})
+        monkeypatch.setattr(sequences, "_ratio", counted)
+        assert kang_recursion_rhs(399998, 200000) == kangulation_count(399998, 200000)
+        assert calls == 0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             kang_recursion_rhs(7, 4)  # parity violation
