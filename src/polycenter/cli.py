@@ -53,16 +53,16 @@ ENUMERATION_N_LIMIT = 360
 
 #: Largest --max that verify congruence accepts.  For odd, mod4 and modp the
 #: residue sweep costs a few µs an index, so a run at the limit ends in about
-#: 20 s (mod4 --max 10000000 takes 21 s), where --max 1000000000000 would run
-#: for weeks.
+#: 30 s (mod4 --max 10000000 takes 28 to 32 s on CPython 3.11 and 38 to 44 s
+#: on 3.10), where --max 1000000000000 would run for weeks.
 CONGRUENCE_LIMIT = 10_000_000
 
 #: Largest --max times (k-1) that verify congruence --theorem kangp accepts.
 #: Each of its max/(k-2) ratio steps builds two falling factorials of about
 #: k factors and strips p from them, which costs more than building them, so
 #: the cost grows as about max*k, most for p = 3: --p 3 --k 199 --max
-#: 10000000 ends in about 28 s, where --p 7 --k 10001 --max 10000000 runs
-#: for minutes.
+#: 10000000 ends in about 29 s on CPython 3.11 and 33 s on 3.10, where --p 7
+#: --k 10001 --max 10000000 runs for minutes.
 KANGP_LIMIT = 2_000_000_000
 
 #: Largest n that fixed-vertex accepts.  The cost of its closed form and Dyck

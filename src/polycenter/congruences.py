@@ -12,8 +12,8 @@ value grows with the range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .sequences import _ratio
 
@@ -44,8 +44,7 @@ def predict_mod4(n: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a congruence sweep; passed iff no counterexample was found.
 
     ``cases`` counts the indices compared: every index of the range on a

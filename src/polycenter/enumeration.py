@@ -18,10 +18,9 @@ holds cells, not dissections, and is dropped when the generator ends.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import DIAMETER, CentralComponent, Dissection, contains_vertex
 from .sequences import _fuss_index
@@ -121,8 +120,7 @@ def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
         yield Dissection(n, diags, k)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One central-component shape with its number of dissections."""
 
     key: "str | tuple[int, ...]"

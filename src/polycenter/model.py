@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
@@ -20,23 +19,17 @@ from typing import NamedTuple
 DIAMETER = "diameter"
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(NamedTuple("Dissection", [("n", int), ("diagonals", frozenset), ("k", int)])):
     """A convex n-gon with a set of pairwise non-crossing diagonals.
 
     ``k`` is the intended uniform cell size (3 for triangulations); face
     sizes are enforced by :func:`faces`, not at construction.
     """
 
-    n: int
-    diagonals: frozenset
-    k: int = 3
+    __slots__ = ()
 
-    def __init__(self, n: int, diagonals, k: int = 3):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+    def __new__(cls, n: int, diagonals, k: int = 3):
         norm = frozenset((min(x, y), max(x, y)) for x, y in diagonals)
-        object.__setattr__(self, "diagonals", norm)
         if n < 3:
             raise ValueError("polygon needs n >= 3")
         if k < 3:
@@ -46,6 +39,7 @@ class Dissection:
                 raise ValueError(f"diagonal ({x},{y}) out of range for n={n}")
             if y - x == 1 or (x == 0 and y == n - 1):
                 raise ValueError(f"({x},{y}) is a polygon side, not a diagonal")
+        return super().__new__(cls, n, norm, k)
 
 
 def _cell_text(cell) -> str:

@@ -9,6 +9,7 @@ import time
 import xml.etree.ElementTree as ET
 from itertools import count
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -132,15 +133,11 @@ class TestVerifyCommands:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "n=3998 OK\nverified 1 cases\n"
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="the 15 s bound is measured only where math.perm multiplies by a product tree (CPython >= 3.11)",
-    )
     def test_recursion_kang_with_huge_k(self):
-        # The one case steps the prefix table from F(1) to F(2): one ratio
-        # whose numerator and denominator have about k factors each.
-        # Built one Python multiply at a time, this run took 33 s. Before
-        # CPython 3.11, math.perm multiplies its factors one at a time too.
+        # The one case reads F(j, k-1) only for j <= 1, where every prefix
+        # table starts, so it steps no ratio, and its placement numerator
+        # n*k!/(k-1)! is one math.perm of one factor: no product of about k
+        # factors is built, on any interpreter.
         argv = ["verify", "recursion", "--kind", "kang", "--k", "200000", "--max", "400000"]
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=15
@@ -596,6 +593,22 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: fuss_catalan(1, 2) has negative 2-adic valuation -1\n"
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_dataclasses(self):
+        # -S keeps site hooks from importing these modules first and masking
+        # an import by the package.
+        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+        code = f"import sys, polycenter.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={"PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
 class TestSvgDocument:

@@ -1,5 +1,6 @@
 """Dissection model: faces, central components, placements."""
 
+import pickle
 import re
 from collections import Counter
 from itertools import combinations
@@ -29,6 +30,24 @@ class TestDissection:
     def test_normalizes_orientation(self):
         d = Dissection(6, {(4, 0), (2, 0)})
         assert sorted(d.diagonals) == [(0, 2), (0, 4)]
+
+    def test_value_semantics_and_validation(self):
+        d = Dissection(6, [(4, 0), (2, 0)])
+        same = Dissection(6, {(0, 2), (0, 4)}, 3)
+        assert d == same and hash(d) == hash(same) == hash((6, frozenset({(0, 2), (0, 4)}), 3))
+        assert d.k == 3
+        assert repr(d) == "Dissection(n=6, diagonals=frozenset({(0, 2), (0, 4)}), k=3)"
+        with pytest.raises(AttributeError):
+            d.n = 7
+        assert pickle.loads(pickle.dumps(d)) == d
+        for args, message in [
+            ((2, ()), "polygon needs n >= 3"),
+            ((6, (), 2), "cells need k >= 3"),
+            ((6, [(0, 6)]), "diagonal (0,6) out of range for n=6"),
+            ((6, [(-1, 2)]), "diagonal (-1,2) out of range for n=6"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Dissection(*args)
 
 
 def cross(d1, d2):
