@@ -53,7 +53,7 @@ ENUMERATION_N_LIMIT = 360
 
 #: Largest --max that verify congruence accepts.  For odd, mod4 and modp the
 #: residue sweep costs a few µs an index, so a run at the limit ends in about
-#: 30 s (mod4 --max 10000000 takes 28 to 32 s on CPython 3.11 and 38 to 44 s
+#: 30 s (mod4 --max 10000000 takes 21 to 32 s on CPython 3.11 and 38 to 44 s
 #: on 3.10), where --max 1000000000000 would run for weeks.
 CONGRUENCE_LIMIT = 10_000_000
 
@@ -61,7 +61,7 @@ CONGRUENCE_LIMIT = 10_000_000
 #: Each of its max/(k-2) ratio steps builds two falling factorials of about
 #: k factors and strips p from them, which costs more than building them, so
 #: the cost grows as about max*k, most for p = 3: --p 3 --k 199 --max
-#: 10000000 ends in about 29 s on CPython 3.11 and 33 s on 3.10, where --p 7
+#: 10000000 ends in 25 to 30 s on CPython 3.11 and 32 to 34 s on 3.10, where --p 7
 #: --k 10001 --max 10000000 runs for minutes.
 KANGP_LIMIT = 2_000_000_000
 
@@ -400,10 +400,10 @@ def run(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     finally:

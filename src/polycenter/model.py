@@ -136,10 +136,9 @@ def placement_count(lengths, n: int) -> int:
 
     Equals n * P / k where P is the number of distinct linear arrangements of
     the multiset; the division is always exact (each subset is counted once
-    per choice of starting vertex).  This is the validated public form: the
-    recursion evaluator, whose tuples are valid and sorted by construction,
-    reads the same multiplicity from run lengths instead, once per family of
-    tuples that share them.
+    per choice of starting vertex).  The recursion's term stream reads it
+    once per term; the recursion sum reads the same multiplicity from run
+    lengths instead, once per family of tuples that share them.
     """
     lengths = tuple(lengths)
     k = len(lengths)

@@ -7,10 +7,10 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
-from math import perm
+from math import perm, prod
 from typing import Iterator
 
-from .model import DIAMETER
+from .model import DIAMETER, placement_count
 from .sequences import _exact_div, _fuss_catalan_prefix, _fuss_index
 
 
@@ -19,9 +19,9 @@ def bounded_partitions(
 ) -> Iterator:
     """Nondecreasing tuples of ``parts`` values in [smallest, largest] summing to ``total``.
 
-    With ``mod`` > 1 only values = residue (mod mod) are produced.  With
-    residue 1 and mod k-2 these are the side lengths 1 + (k-2)j of the central
-    k-gons, the tuples that :func:`_families` walks as tuples of indices j.
+    With ``mod`` > 1 only values = residue (mod mod) are produced.
+    :func:`_central_terms` reads the index tuples j of the central k-gons
+    from it, whose sides have lengths 1 + (k-2)j.
     """
     if parts == 0:
         if total == 0:
@@ -42,20 +42,19 @@ def bounded_partitions(
 
 
 def _families(n: int, k: int, m: int, c: list) -> Iterator:
-    """The sorted k-tuples of :func:`_central_terms` in index space, in
-    lexicographic order, as families that share one placement multiplicity.
+    """The terms of :func:`_central_sum` in index space, as families that
+    share one placement multiplicity.
 
     A side of length 1 + (k-2)j cuts off a sub-polygon with c[j] =
     F(j, k-1) k-angulations, so a central k-gon is a sorted k-tuple of
     indices 0 <= j <= top summing to m = (n-k)/(k-2), where top is the
     largest index whose side is < n/2.  A family is
-    ``(prefix, indices, total, product, multiplicity)``: the tuples
-    ``(*prefix, a, total - a)`` for ``a`` in the range ``indices``, where
-    ``prefix`` holds the first k-2 indices and ``product`` is the product of
-    c over them.  Within one prefix the run lengths r of a tuple, and with
-    them the multiplicity n * k! / (k * prod(r!)), change only when ``a``
-    equals the prefix's last index or ``a == total - a``; each of those two
-    tails is a family of its own and all other tails of the prefix form one.
+    ``(indices, total, product, multiplicity)``: the tuples whose first k-2
+    indices have product ``product`` over c and whose last two are ``a`` and
+    ``total - a`` for ``a`` in ``indices``.  For fixed first k-2 indices the
+    run lengths r, and with them the multiplicity n * k! / (k * prod(r!)),
+    change only when ``a`` equals index k-2 or ``a == total - a``; each of
+    those two tails is a family of its own and the other tails form one.
     Each multiplicity is one checked division.
     """
     top = ((n - 1) // 2 - 1) // (k - 2)
@@ -66,19 +65,18 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
     zeros = min(k - 3, max(0, k - m))
     arrangements = n * perm(k, k - zeros)
 
-    def walk(prefix, last, total, product, symmetry, run):
-        # symmetry is k * prod(r!) / zeros! over the prefix, accumulated as
-        # the product of each index's position in its run past the leading
-        # zeros; run is the last run's length.
-        # The first k-3 indices recurse; the loop below places index k-2.
-        if len(prefix) < k - 3:
-            for j in range(last, min(top, total // (k - len(prefix))) + 1):
+    def walk(depth, last, total, product, symmetry, run):
+        # depth indices are placed, the last is last; symmetry is k * prod(r!)
+        # / zeros! over them, the product of each index's position in its run
+        # past the leading zeros; run is the last run's length.  The first k-3
+        # indices recurse; the loop below places index k-2.
+        if depth < k - 3:
+            for j in range(last, min(top, total // (k - depth)) + 1):
                 j_run = run + 1 if j == last else 1
-                yield from walk((*prefix, j), j, total - j, product * c[j], symmetry * j_run, j_run)
+                yield from walk(depth + 1, j, total - j, product * c[j], symmetry * j_run, j_run)
             return
         for j in range(last, min(top, total // 3) + 1):
             j_run = run + 1 if j == last else 1
-            head = (*prefix, j)
             rest = total - j
             weight = product * c[j]
             sym = symmetry * j_run
@@ -87,37 +85,35 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
             hi = rest // 2
             if lo == j:
                 tail = (j_run + 1) * (j_run + 2) if 2 * j == rest else j_run + 1
-                yield head, range(j, j + 1), rest, weight, _exact_div(arrangements, sym * tail)
+                yield range(j, j + 1), rest, weight, _exact_div(arrangements, sym * tail)
                 lo += 1
             if lo > hi:
                 continue
             if 2 * hi == rest:
                 if lo < hi:
-                    yield head, range(lo, hi), rest, weight, _exact_div(arrangements, sym)
-                yield head, range(hi, hi + 1), rest, weight, _exact_div(arrangements, sym * 2)
+                    yield range(lo, hi), rest, weight, _exact_div(arrangements, sym)
+                yield range(hi, hi + 1), rest, weight, _exact_div(arrangements, sym * 2)
             else:
-                yield head, range(lo, hi + 1), rest, weight, _exact_div(arrangements, sym)
+                yield range(lo, hi + 1), rest, weight, _exact_div(arrangements, sym)
 
-    return walk((0,) * zeros, 0, m, 1, k, zeros)
+    return walk(zeros, 0, m, 1, k, zeros)
 
 
 def _central(n: int, k: int):
-    """What one central recursion needs: ``(c, diameter, families)``.
+    """What one central recursion needs: ``(c, diameter, m)``.
 
     c[j] = F(j, k-1), the k-angulations of a sub-polygon cut off by a side
     of length 1 + (k-2)j, for every j whose side is <= n/2, read from the
     per-k prefix table that all recursion and fixed-vertex calls share.
     The diameter term is (n/2) * c[j]^2 for the side n/2 = 1 + (k-2)j, and
-    zero unless n is even and (n/2 - 1) is divisible by k-2.  The families
-    are those of :func:`_families`, none unless the n-gon has k-angulations,
-    that is unless n = (k-2)m + 2: then the k sides of a central cell have
-    indices summing to m - 1.
+    zero unless n is even and (n/2 - 1) is divisible by k-2.  m is the
+    index with n = (k-2)m + 2, None unless the n-gon has k-angulations;
+    the k sides of a central cell then have indices summing to m - 1.
     """
     j, r = divmod(n // 2 - 1, k - 2)
     c = _fuss_catalan_prefix(j, k - 1)
     diameter = (n // 2) * c[j] ** 2 if n % 2 == 0 and not r else 0
-    m = _fuss_index(n, k)
-    return c, diameter, () if m is None else _families(n, k, m - 1, c)
+    return c, diameter, _fuss_index(n, k)
 
 
 def _central_terms(n: int, k: int) -> Iterator:
@@ -125,32 +121,35 @@ def _central_terms(n: int, k: int) -> Iterator:
 
     For even n the diameter term (DIAMETER, count) of :func:`_central` comes
     first (zero when no k-angulation has a diameter); then, in
-    lexicographic order, one term per sorted k-tuple of side lengths < n/2
-    summing to n whose sub-polygons are all k-angulable: the placement
-    multiplicity times the product of c[j] over its indices j, where the
-    side of index j has length 1 + (k-2)j.  The multiplicity
-    n * k! / (k * prod(r!)) over the run lengths r of the sorted tuple is
-    the value of :func:`placement_count`, read without its validation, once
-    per family of :func:`_families`.
+    lexicographic order, one term per sorted k-tuple of indices
+    0 <= j <= top summing to m - 1, where the side of index j has length
+    1 + (k-2)j and top is the largest index whose side is < n/2.  The count
+    is :func:`placement_count` of the shape times the product of c[j] over
+    its indices.  A tuple starts with at least k - (m-1) zeros, placed as
+    one run, so :func:`bounded_partitions` recurses fewer than m levels.
     """
-    c, diameter, families = _central(n, k)
+    c, diameter, m = _central(n, k)
     if n % 2 == 0:
         yield DIAMETER, diameter
-    step = k - 2
-    for prefix, indices, total, product, multiplicity in families:
-        weight = multiplicity * product
-        head = tuple(1 + step * j for j in prefix)
-        for a in indices:
-            yield (*head, 1 + step * a, 1 + step * (total - a)), weight * c[a] * c[total - a]
+    if m is None or m < 1:
+        return
+    top = ((n - 1) // 2 - 1) // (k - 2)
+    parts = min(k, m - 1)
+    zeros = (0,) * (k - parts)
+    for tail in bounded_partitions(m - 1, parts, 0, top):
+        indices = zeros + tail
+        shape = tuple(1 + (k - 2) * j for j in indices)
+        yield shape, placement_count(shape, n) * prod(c[j] for j in indices)
 
 
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
     :func:`_central_terms`, with each family of :func:`_families` summed as
     one dot product of c over its indices a with c over their partners total - a."""
-    c, result, families = _central(n, k)
-    for _, indices, total, product, multiplicity in families:
-        result += multiplicity * product * sum([c[a] * c[total - a] for a in indices])
+    c, result, m = _central(n, k)
+    if m is not None:
+        for indices, total, product, multiplicity in _families(n, k, m - 1, c):
+            result += multiplicity * product * sum([c[a] * c[total - a] for a in indices])
     return result
 
 

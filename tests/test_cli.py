@@ -145,6 +145,16 @@ class TestVerifyCommands:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "n=399998 OK\nverified 1 cases\n"
 
+    def test_recursion_kang_with_k_beyond_memory(self):
+        # A tuple of the k - 3 leading zero indices would not fit in memory
+        # at this k; the walk keeps only its depth.
+        argv = ["verify", "recursion", "--kind", "kang", "--k", "10000000000", "--max", "30000000000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=15
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("verified 2 cases\n")
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_recursion_kang_rejects_small_k(self, capsys, k):
         assert run(["verify", "recursion", "--kind", "kang", "--k", str(k), "--max", "100"]) == 2
@@ -593,6 +603,19 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: fuss_catalan(1, 2) has negative 2-adic valuation -1\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["fixed-vertex", "10"], ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "20"]]
+    )
+    def test_inexact_division_exits_3(self, monkeypatch, capsys, argv):
+        # An inexact ratio is a broken invariant, not bad input.  The
+        # recursion sweep reports the cases before the first ratio step.
+        monkeypatch.setattr("polycenter.sequences._prefixes", {})
+        monkeypatch.setattr("polycenter.sequences._ratio", lambda m, k: (1, 3))
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert captured.err == "internal error: inexact division 1/3\n"
 
 
 class TestImportFootprint:

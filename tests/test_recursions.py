@@ -1,6 +1,8 @@
 """Central-component recursions and the fixed-vertex formulas."""
 
-from itertools import combinations_with_replacement, product
+import tracemalloc
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
 
@@ -21,7 +23,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.recursions import _central, _central_sum, _central_terms, bounded_partitions
+from polycenter.recursions import _central, _central_sum, _central_terms, _families, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -73,7 +75,33 @@ def reference_terms(n, k):
     return terms
 
 
+def brute_force_terms(n, k):
+    """The central-recursion terms from every central cell listed one by one.
+
+    A central cell is a k-subset of the vertices whose cyclic gaps are all
+    below n/2.  It is the central component of every k-angulation that
+    contains it, and those are counted by the product, over its sides, of
+    the k-angulations of the sub-polygon each side cuts off.  The cells are
+    tallied by sorted gaps, so no multiplicity formula and no partition
+    generator is consulted.
+    """
+    tally = {}
+    for cell in combinations(range(n), k):
+        gaps = [b - a for a, b in zip(cell, cell[1:] + (cell[0] + n,))]
+        if all(2 * gap < n for gap in gaps):
+            shape = tuple(sorted(gaps))
+            count = prod(kangulation_count(gap + 1, k) for gap in gaps)
+            tally[shape] = tally.get(shape, 0) + count
+    terms = [(DIAMETER, (n // 2) * kangulation_count(n // 2 + 1, k) ** 2)] if n % 2 == 0 else []
+    return terms + [(shape, count) for shape, count in sorted(tally.items()) if count]
+
+
 class TestCentralTerms:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_terms_match_brute_force_cells(self, k):
+        for n in range(k, 19):
+            assert list(_central_terms(n, k)) == brute_force_terms(n, k), (n, k)
+
     @pytest.mark.parametrize("k", range(3, 10))
     def test_terms_match_placement_formula(self, k):
         # every n, so the inadmissible ones, with a diameter-only or an empty
@@ -103,10 +131,12 @@ class TestCentralTerms:
         assert terms == reference_terms(n, k)
 
     def test_families_split_where_the_multiplicity_changes(self):
-        # for k = 3 the side of index j has length j + 1
+        # for k = 3 the side of index j has length j + 1, and the indices sum
+        # to n - 3 = 27, so the families with total 20 have first index 7
         n = 30
-        _, _, families = _central(n, 3)
-        families = [(list(indices), m) for prefix, indices, _, _, m in families if prefix == (7,)]
+        c, _, m = _central(n, 3)
+        families = _families(n, 3, m - 1, c)
+        families = [(list(indices), mult) for indices, total, _, mult in families if total == 20]
         # a == 7 extends the run of the prefix; 7 < a < 10 share one
         # multiplicity; a == 10 pairs with itself
         assert families == [
@@ -172,6 +202,19 @@ class TestKangRecursion:
         monkeypatch.setattr(sequences, "_ratio", counted)
         assert kang_recursion_rhs(399998, 200000) == kangulation_count(399998, 200000)
         assert calls == 0
+
+    def test_large_k_holds_no_index_tuple(self, monkeypatch):
+        # The walk tracks its depth as an int: nothing it holds grows with k
+        monkeypatch.setattr(sequences, "_prefixes", {})
+        n, k = 3 * 10**6 - 4, 10**6
+        tracemalloc.start()
+        try:
+            value = kang_recursion_rhs(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == kangulation_count(n, k)
+        assert peak < 2**20
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
