@@ -11,7 +11,7 @@ diagonal is the next region to fill.
 appending to one list of diagonals and truncating it to backtrack, so the
 first dissection comes after polynomial work and the stream stays lazy.  A
 per-call cell table lists each interval's admissible cells once, with their
-diagonals and central classification, on the interval's first entry; it
+diagonals and :func:`model._central_of`, on the interval's first entry; it
 holds cells, not dissections, and is dropped when the generator ends.
 """
 
@@ -22,12 +22,12 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .model import DIAMETER, CentralComponent, Dissection, contains_vertex
+from .model import DIAMETER, Dissection, _central_of, contains_vertex
 from .sequences import _fuss_index
 
 
 def _cells(lo: int, hi: int, k: int, n: int) -> list:
-    """Every admissible cell on the base edge (lo, hi), each classified once.
+    """Every admissible cell on the base edge (lo, hi), with its central component.
 
     A cell is ``(lo, *mids, hi)``.  A side cuts off a k-angulable region
     only when its length is 1 + (k-2)j, and the k-1 indices j of a cell sum
@@ -36,9 +36,9 @@ def _cells(lo: int, hi: int, k: int, n: int) -> list:
     lo + 1 + i + (k-2)(b-i).  Every candidate is admissible, and the cells
     come in lexicographic order of their mids.  Each entry is
     ``(diagonals, sides, central)``: the cell's own diagonals, the same
-    diagonals reversed (the sides still to fill, in push order), and the
-    :class:`CentralComponent` of the n-gon when the cell is it or has it as
-    a side, else None.
+    diagonals reversed (the sides still to fill, in push order), and
+    :func:`model._central_of` of the cell: the central component of the
+    n-gon when the cell is it or has it as a side, else None.
     """
     step = k - 2
     labels = tuple(range(lo + 1, hi))  # one int object per label, shared by the cells
@@ -46,15 +46,7 @@ def _cells(lo: int, hi: int, k: int, n: int) -> list:
     for bars in combinations(range((hi - lo - 1) // step + k - 3), step):
         cell = (lo, *[labels[i + step * (b - i)] for i, b in enumerate(bars)], hi)
         cell_diags = tuple((a, b) for a, b in zip(cell, cell[1:]) if b - a > 1)
-        central = None
-        for a, b in cell_diags:
-            if 2 * (b - a) == n:
-                central = CentralComponent(n, (a, b))
-        # central when all arcs are below n/2: sides of length 1 always are,
-        # which leaves its diagonals and the arc n - (hi - lo) outside its base
-        if central is None and 2 * (hi - lo) > n and all(2 * (b - a) < n for a, b in cell_diags):
-            central = CentralComponent(n, cell)
-        out.append((cell_diags, cell_diags[::-1], central))
+        out.append((cell_diags, cell_diags[::-1], _central_of(cell, n)))
     return out
 
 

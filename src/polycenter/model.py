@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from math import factorial
+from operator import sub
 from typing import NamedTuple
 
 #: Shape key of a central component that is a diameter edge.
@@ -84,9 +85,7 @@ def faces(d: Dissection) -> list:
 
 def face_arcs(face, n: int):
     """Arc gaps between consecutive face vertices, last one wrapping around."""
-    return tuple(face[i + 1] - face[i] for i in range(len(face) - 1)) + (
-        n + face[0] - face[-1],
-    )
+    return (*map(sub, face[1:], face), n + face[0] - face[-1])
 
 
 class CentralComponent(NamedTuple):
@@ -106,22 +105,31 @@ class CentralComponent(NamedTuple):
         return tuple(sorted(face_arcs(self.vertices, self.n)))
 
 
+def _central_of(cell, n: int):
+    """The central component that the sorted cell is or has as a side, else None.
+
+    A side (a, b) with 2(b - a) = n is the diameter; a longer side leaves the
+    cell off center, and at most one side reaches n/2.  Otherwise the cell
+    holds the center iff its wrap arc n - (v_last - v_first) is below n/2 too.
+    A diameter's ends are consecutive in one of its two cells and wrap in the
+    other, so exactly one cell of a dissection hits.
+    """
+    for a, b in zip(cell, cell[1:]):
+        if 2 * (b - a) >= n:
+            return CentralComponent(n, (a, b)) if 2 * (b - a) == n else None
+    return CentralComponent(n, cell) if 2 * (cell[-1] - cell[0]) > n else None
+
+
 def central_component(d: Dissection) -> CentralComponent:
     """Classify the dissection by the component containing the polygon center.
 
-    An edge of cyclic length exactly n/2 (even n only) is the unique diameter
-    through the center: two distinct diameters cross at the center, and
-    :func:`faces` has rejected crossings by then.  Otherwise exactly one
-    cell has all arcs < n/2, and that cell contains the center.
+    Applies :func:`_central_of` to every cell of :func:`faces`, which has
+    rejected crossings by then, and checks that exactly one cell hits.
     """
-    fs = faces(d)
-    for x, y in d.diagonals:
-        if 2 * (y - x) == d.n:
-            return CentralComponent(d.n, (x, y))
-    central = [f for f in fs if all(2 * a < d.n for a in face_arcs(f, d.n))]
+    central = [c for f in faces(d) if (c := _central_of(f, d.n)) is not None]
     if len(central) != 1:
-        raise AssertionError(f"expected one central cell, found {central}")
-    return CentralComponent(d.n, central[0])
+        raise AssertionError(f"expected one central component, found {central}")
+    return central[0]
 
 
 def contains_vertex(c: CentralComponent, v: int) -> bool:

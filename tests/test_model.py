@@ -4,6 +4,7 @@ import pickle
 import re
 from collections import Counter
 from itertools import combinations
+from math import cos, sin, tau
 
 import pytest
 
@@ -15,9 +16,11 @@ from polycenter import (
     enumerate_kangulations,
     face_arcs,
     faces,
+    model,
     parse_diagonals,
     placement_count,
 )
+from polycenter.enumeration import _classified
 
 
 class TestDissection:
@@ -239,6 +242,40 @@ class TestCentralComponent:
                 hits = sum(contains_vertex(c, v) for v in range(n))
                 assert len(c.vertices) in (2, 3)
                 assert hits == len(c.vertices)
+
+    @pytest.mark.parametrize("k, top", [(3, 12), (4, 14), (5, 17), (6, 18)])
+    def test_component_holds_the_origin_in_coordinates(self, k, top):
+        """The paper's definition, read off points on the unit circle.
+
+        A central cell is the one face that holds the origin strictly
+        inside; a diameter leaves every face off the origin and passes
+        through it.  No arc length is computed here.
+        """
+        for n in range(k, top + 1):
+            points = [(cos(tau * v / n), sin(tau * v / n)) for v in range(n)]
+
+            def wedge(a, b):
+                # the origin's side of the edge a -> b: > 0 means to its left
+                (ax, ay), (bx, by) = points[a], points[b]
+                return ax * by - ay * bx
+
+            for diags, central in _classified(n, k):
+                d = Dissection(n, diags, k)
+                assert central_component(d) == central
+                inside = [
+                    f for f in faces(d) if all(wedge(a, b) > 1e-9 for a, b in zip(f, f[1:] + f[:1]))
+                ]
+                if len(central.vertices) == 2:
+                    assert central.vertices in d.diagonals
+                    assert inside == []
+                    assert abs(wedge(*central.vertices)) < 1e-9
+                else:
+                    assert inside == [central.vertices]
+
+    def test_two_hits_are_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(model, "_central_of", lambda cell, n: model.CentralComponent(n, cell))
+        with pytest.raises(AssertionError, match="expected one central component"):
+            central_component(Dissection(6, {(0, 2), (2, 4), (0, 4)}))
 
 
 def lemma_multiplicity_3(i, j, k, n):
