@@ -46,9 +46,9 @@ ENUMERATION_LIMIT = 3_000_000
 #: the cost still grows with the cell size k: each cell is built and
 #: classified in O(k), and nearly every cell of a few-cell dissection is a
 #: distinct central component.  Four cells per dissection is the slowest
-#: case, so census 358 --k 91 (1,927,830 dissections) ends in about 26 s
-#: with a peak RSS near 590 MiB, where census 414 --k 105 takes 41 s and
-#: 1 GiB.
+#: case, so census 358 --k 91 (1,927,830 dissections) ends in 19 to 24 s
+#: with a peak RSS near 560 MiB, where census 414 --k 105 takes 38 s and
+#: 945 MiB.  The per-call cell table's memory is what binds.
 ENUMERATION_N_LIMIT = 360
 
 #: Largest --max that verify congruence accepts.  For odd, mod4 and modp the

@@ -5,7 +5,9 @@ explicitly by cell choice on a base edge and never consult the closed-form
 counts they are used to check.  A region is the run of vertex labels lo..hi
 on its base edge (lo, hi); a cell splits it into k-1 sides, each of length
 1 + (k-2)j for a Fuss-Catalan index j, and each side of the cell that is a
-diagonal is the next region to fill.
+diagonal cutting off more than k labels is the next region to fill.  A
+region of exactly k labels (j = 1) is one k-gon: its one cell adds no
+diagonal and is never central, so it is not visited.
 
 :func:`_classified` walks these choices depth-first on one explicit stack,
 appending to one list of diagonals and truncating it to backtrack, so the
@@ -35,10 +37,17 @@ def _cells(lo: int, hi: int, k: int, n: int) -> list:
     k-2 bars placed among its stars, bar i at position b putting mids[i] at
     lo + 1 + i + (k-2)(b-i).  Every candidate is admissible, and the cells
     come in lexicographic order of their mids.  Each entry is
-    ``(diagonals, sides, central)``: the cell's own diagonals, the same
-    diagonals reversed (the sides still to fill, in push order), and
-    :func:`model._central_of` of the cell: the central component of the
-    n-gon when the cell is it or has it as a side, else None.
+    ``(diagonals, sides, central)``: the cell's own diagonals; the sides
+    still to fill, in push order, which are the diagonals reversed less
+    those cutting off exactly k labels; and :func:`model._central_of` of the
+    cell: the central component of the n-gon when the cell is it or has it
+    as a side, else None.
+
+    A k-label side needs no visit.  Its region's one cell is its k labels in
+    a row, with no diagonal, and it lies below the root only when
+    n >= 2k - 2, so its wrap arc n - (k - 1) is at least n/2 and it is not
+    central.  At n = 2k - 2 that wrap arc is the diameter, which the cell on
+    the other side of it reports.
     """
     step = k - 2
     labels = tuple(range(lo + 1, hi))  # one int object per label, shared by the cells
@@ -46,7 +55,8 @@ def _cells(lo: int, hi: int, k: int, n: int) -> list:
     for bars in combinations(range((hi - lo - 1) // step + k - 3), step):
         cell = (lo, *[labels[i + step * (b - i)] for i, b in enumerate(bars)], hi)
         cell_diags = tuple((a, b) for a, b in zip(cell, cell[1:]) if b - a > 1)
-        out.append((cell_diags, cell_diags[::-1], _central_of(cell, n)))
+        sides = tuple((a, b) for a, b in reversed(cell_diags) if b - a != k - 1)
+        out.append((cell_diags, sides, _central_of(cell, n)))
     return out
 
 
@@ -62,7 +72,8 @@ def _classified(n: int, k: int) -> Iterator:
     i-th cell: it restores ``pending``, truncates ``diags`` to ``mark`` and
     restores the central component found so far.  An interval's last cell
     pushes no frame.  The cells of an interval come from :func:`_cells` on
-    its first entry and are reused until the call ends.
+    its first entry and are reused until the call ends; an interval of k
+    labels is never entered except as the root of the k-gon.
     """
     if k < 3:
         raise ValueError("k must be >= 3")

@@ -16,7 +16,8 @@ from polycenter import (
     kangulation_count,
     placement_count,
 )
-from polycenter.enumeration import _classified
+from polycenter import enumeration
+from polycenter.enumeration import _cells, _classified
 from polycenter.model import CentralComponent, Dissection, central_component, face_arcs
 
 
@@ -150,6 +151,38 @@ class TestClassifiedStream:
         elapsed = time.perf_counter() - start
         assert len(first.diagonals) == (n - 2) // (k - 2) - 1
         assert elapsed < 5.0, elapsed
+
+
+_FORCED_CASES = [(n, k) for k in range(3, 13) for n in range(k, 3 * k + 1) if (n - 2) % (k - 2) == 0]
+
+
+class TestForcedRegions:
+    """A region of exactly k labels holds one choice, so the walk never visits it."""
+
+    @pytest.mark.parametrize("n,k", _FORCED_CASES)
+    def test_k_label_interval_is_one_empty_cell(self, n, k):
+        """Its one cell adds no diagonal, pushes no side and is never central."""
+        for lo in range(n - k + 1):
+            hi = lo + k - 1
+            if hi - lo == n - 1:
+                continue  # the root of the k-gon
+            assert _cells(lo, hi, k, n) == [((), (), None)]
+
+    @pytest.mark.parametrize("n,k", _FORCED_CASES)
+    def test_classified_skips_k_label_intervals(self, n, k, monkeypatch):
+        asked = []
+
+        def recording_cells(lo, hi, *rest):
+            asked.append((lo, hi))
+            return _cells(lo, hi, *rest)
+
+        monkeypatch.setattr(enumeration, "_cells", recording_cells)
+        count = sum(1 for _ in _classified(n, k))
+        assert count == kangulation_count(n, k)
+        assert asked[0] == (0, n - 1)
+        assert len(asked) == len(set(asked))
+        forced = [(lo, hi) for lo, hi in asked if hi - lo == k - 1]
+        assert forced == ([(0, n - 1)] if n == k else [])
 
 
 class TestCensus:
