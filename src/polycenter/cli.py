@@ -51,18 +51,22 @@ ENUMERATION_LIMIT = 3_000_000
 #: 945 MiB.  The per-call cell table's memory is what binds.
 ENUMERATION_N_LIMIT = 360
 
-#: Largest --max that verify congruence accepts.  For odd, mod4 and modp the
-#: residue sweep costs a few µs an index, so a run at the limit ends in about
-#: 30 s (mod4 --max 10000000 takes 21 to 32 s on CPython 3.11 and 38 to 44 s
-#: on 3.10), where --max 1000000000000 would run for weeks.
+#: Largest --max that verify congruence accepts.  It bounds the dense sweeps
+#: odd and mod4, which step the residue at every index for a few µs, so a run
+#: at the limit ends in about 30 s (mod4 --max 10000000 takes 21 to 32 s on
+#: CPython 3.11 and 38 to 44 s on 3.10), where --max 1000000000000 would run
+#: for weeks.  A passing modp or kangp run steps nothing: it reads each checked
+#: index's p-adic valuation from Legendre's formula, about log_p of the index
+#: in work, and only a failing run steps up to its first counterexample.
 CONGRUENCE_LIMIT = 10_000_000
 
 #: Largest --max times (k-1) that verify congruence --theorem kangp accepts.
-#: Each of its max/(k-2) ratio steps builds two falling factorials of about
-#: k factors and strips p from them, which costs more than building them, so
-#: the cost grows as about max*k, most for p = 3: --p 3 --k 199 --max
-#: 10000000 ends in 25 to 30 s on CPython 3.11 and 32 to 34 s on 3.10, where --p 7
-#: --k 10001 --max 10000000 runs for minutes.
+#: It bounds the stepping of a failing run, which steps max/(k-2) ratios of
+#: two falling factorials of about k factors and strips p from them, so its
+#: cost grows as about max*k, most for p = 3: that stepping to --p 3 --k 199
+#: --max 10000000 took 25 to 30 s on CPython 3.11 and 32 to 34 s on 3.10,
+#: where to --p 7 --k 10001 --max 10000000 it runs for minutes.  A passing
+#: run at the cap costs only its Legendre reads (0.07 s at --k 199).
 KANGP_LIMIT = 2_000_000_000
 
 #: Largest n that fixed-vertex accepts.  The cost of its closed form and Dyck
@@ -80,6 +84,8 @@ RENDER_LIMIT = 250_000
 #: quad may compute, estimated before any work.  catalan is the slowest per
 #: digit: catalan 705919, the largest index admitted (424,997 digits), ends
 #: in about 29 s, where quad, kang and fuss at the limit end in 4 to 18 s.
+#: catalan --mod builds no bigint and would cost far less (catalan 705919
+#: --mod 1000000007 ends in under a second), but keeps the same limit.
 COUNT_LIMIT = 425_000
 
 

@@ -7,7 +7,9 @@ actual residues are computed exactly, never predicted: one sweep steps the
 Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratio``, which the exact
 prefix table also steps, in the form F(m) = p**v * num / den, with v the
 exact p-adic valuation and the p-free num and den kept mod p**e, so no
-value grows with the range.
+value grows with the range.  The sparse mod-p sweeps first read v at each
+checked index from Legendre's formula (``sequences._legendre``) and step
+only to an index whose v is below e, which no passing run has.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .sequences import _ratio
+from .sequences import _legendre, _ratio
 
 
 class Theorem(Enum):
@@ -115,12 +117,24 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
     num, den prime to p and reduced mod q = p**e.  Each step strips the
     powers of p from the numerator and denominator of _ratio(m, k), two
     falling factorials, into v and multiplies the rests into num and den.
-    den is inverted only at the indices of ms, so every index up to ms[-1]
-    costs a few operations on numbers that do not grow with the range.
+    den is inverted only at the indices of ms, so every step costs a few
+    operations on numbers that do not grow with the range.
+
+    A target more than one index past the last stepped one first reads
+    v_p(F(t)) from Legendre's formula, F(t) = (kt)!/(t!((k-1)t+1)!).  When
+    that is at least e the residue is 0 and nothing is stepped; otherwise
+    the sweep steps on to t and the two valuations must agree.  So a sparse
+    range whose residues are all 0 costs about log_p of each index.
     """
     q = p**e
     v, num, den, m = 0, 1, 1, 0
     for target in ms:
+        legendre = None
+        if target > m + 1:
+            legendre = _legendre(k * target, p) - _legendre(target, p) - _legendre((k - 1) * target + 1, p)
+            if legendre >= e:
+                yield target, 0
+                continue
         for step in range(m, target):
             top, bottom = _ratio(step, k)
             while top % p == 0:
@@ -134,6 +148,10 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
         m = target
         if v < 0:
             raise AssertionError(f"fuss_catalan({m}, {k}) has negative {p}-adic valuation {v}")
+        if legendre is not None and v != legendre:
+            raise AssertionError(
+                f"fuss_catalan({m}, {k}) has {p}-adic valuation {v} stepped but {legendre} by Legendre"
+            )
         yield m, 0 if v >= e else p**v * num * pow(den, -1, q) % q
 
 

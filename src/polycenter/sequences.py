@@ -10,7 +10,8 @@ in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from itertools import compress
+from math import comb, isqrt, perm
 
 
 def _integral(x) -> int | None:
@@ -54,6 +55,15 @@ def _ratio(m: int, k: int) -> tuple:
     one math.perm.
     """
     return perm(k * m + k, k), (m + 1) * perm((k - 1) * m + k, k - 1)
+
+
+def _legendre(x: int, p: int) -> int:
+    """v_p(x!) = sum over i >= 1 of x // p**i (Legendre's formula), for x >= 0 and a prime p."""
+    v = 0
+    while x:
+        x //= p
+        v += x
+    return v
 
 
 #: k -> [F(0), F(1), ...] with parameter k, as far as any caller has asked.
@@ -126,15 +136,25 @@ def ballot_T(n: int, k: int) -> int:
 
 
 def catalan_mod(n: int, m: int) -> int:
-    """C(n) mod m for one n >= 0, reduced from the exact value catalan(n).
+    """C(n) mod m for one n >= 0, with no value above m**2.
 
-    Unlike catalan, a negative n raises ValueError.  Each call computes one
-    binomial.  For residues over a range of n, the congruence verifiers step
-    the ratio F(m+1)/F(m) of _ratio in residues mod p**e instead, with the
-    powers of p counted exactly and no bigint.
+    Unlike catalan, a negative n raises ValueError.  C(n) = (2n)!/(n!(n+1)!),
+    so its exponent of each prime p <= 2n is the difference of three
+    Legendre sums, and C(n) mod m is the product of p**v_p(C(n)) mod m over
+    the primes of one sieve of 2n + 1 bytes.  Nothing factors m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    return catalan(n) % m
+    top = 2 * n
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 1)  # sieve[i] == 1 iff i is prime
+    for p in range(2, isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    residue = 1 % m
+    for p in compress(range(top + 1), sieve):
+        v = _legendre(top, p) - _legendre(n, p) - _legendre(n + 1, p)
+        if v:
+            residue = residue * pow(p, v, m) % m
+    return residue

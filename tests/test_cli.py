@@ -604,6 +604,15 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err == "internal error: fuss_catalan(1, 2) has negative 2-adic valuation -1\n"
 
+    def test_valuation_mismatch_in_residue_sweep_exits_3(self, monkeypatch, capsys):
+        # A Legendre count of 0 sends modp to step to its first index,
+        # where the stepped valuation of C(3) = 5 is 1.
+        monkeypatch.setattr("polycenter.congruences._legendre", lambda x, p: 0)
+        assert run(["verify", "congruence", "--theorem", "modp", "--p", "5", "--max", "20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: fuss_catalan(3, 2) has 5-adic valuation 1 stepped but 0 by Legendre\n"
+
     @pytest.mark.parametrize(
         "argv", [["fixed-vertex", "10"], ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "20"]]
     )

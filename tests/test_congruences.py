@@ -16,6 +16,7 @@ from polycenter import (
     verify_congruence,
 )
 from polycenter.congruences import _PRIME_TEST_LIMIT, _first_mismatch, _fuss_catalan_residues, is_prime
+from polycenter.sequences import _legendre, _ratio
 
 
 class TestPredictors:
@@ -240,6 +241,68 @@ class TestResidueSweep:
             assert residues == [(m, x % q) for m, x in enumerate(exact)], (k, p, e)
 
 
+def valuation(x, p):
+    """The number of times p divides x > 0, by repeated division."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+class TestLegendre:
+    """v_p from Legendre's formula against division of exact values; no sweep is involved."""
+
+    def test_factorials(self):
+        for p in (2, 3, 5, 7, 11):
+            factorial = 1
+            for x in range(1, 300):
+                factorial *= x
+                assert _legendre(x, p) == valuation(factorial, p), (x, p)
+            assert _legendre(0, p) == 0
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_fuss_catalan_valuations(self, k):
+        for m in range(401):
+            exact = fuss_catalan(m, k)
+            for p in (2, 3, 5, 7, 11):
+                legendre = _legendre(k * m, p) - _legendre(m, p) - _legendre((k - 1) * m + 1, p)
+                assert legendre == valuation(exact, p), (m, k, p)
+
+
+class TestSteps:
+    """The sweep steps _ratio only up to a target whose Legendre valuation is below e."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        stepped = []
+
+        def counted(m, k):
+            stepped.append(m)
+            return _ratio(m, k)
+
+        monkeypatch.setattr(polycenter.congruences, "_ratio", counted)
+        return stepped
+
+    def test_passing_modp_steps_nothing(self, steps):
+        report = verify_congruence(Theorem.MODP_CATALAN, 1_000_000, p=10007)
+        assert report.passed and report.cases == len(modp_indices(10007, 1_000_000))
+        assert steps == []
+
+    def test_dense_sweep_steps_every_index(self, steps):
+        assert verify_congruence(Theorem.ODD_CHARACTERIZATION, 1000).passed
+        assert steps == list(range(1000))
+
+    def test_stepping_resumes_from_the_last_stepped_index(self, steps):
+        # C(3), C(7) and C(15) are odd; C(5), C(9), C(11) and C(13) are
+        # even and skipped, so the steps run 0..14 once each, with no gap.
+        ms = range(3, 16, 2)
+        residues = list(_fuss_catalan_residues(ms, 2, p=2, e=1))
+        assert residues == [(m, catalan(m) % 2) for m in ms]
+        assert [r for _, r in residues] == [1, 0, 1, 0, 0, 0, 1]
+        assert steps == list(range(15))
+
+
 class TestScaling:
     """Each sweep costs O(max_n) small-int steps; a bigint sweep grows quadratically."""
 
@@ -257,4 +320,18 @@ class TestScaling:
         report = verify_congruence(Theorem.MODP_CATALAN, 300_000, p=10007)
         elapsed = time.perf_counter() - start
         assert report.passed and report.cases == len(modp_indices(10007, 300_000))
+        assert elapsed < self.BUDGET_S, elapsed
+
+    def test_sparse_kangp_at_its_cap(self):
+        start = time.perf_counter()
+        report = verify_congruence(Theorem.MODP_KANGULATION, 10_000_000, p=3, k=199)
+        elapsed = time.perf_counter() - start
+        assert report.passed and report.cases == len(kangp_indices(3, 199, 10_000_000))
+        assert elapsed < self.BUDGET_S, elapsed
+
+    def test_sparse_modp_to_10000000(self):
+        start = time.perf_counter()
+        report = verify_congruence(Theorem.MODP_CATALAN, 10_000_000, p=10007)
+        elapsed = time.perf_counter() - start
+        assert report.passed and report.cases == len(modp_indices(10007, 10_000_000))
         assert elapsed < self.BUDGET_S, elapsed

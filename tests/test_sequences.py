@@ -214,6 +214,13 @@ class TestCatalanMod:
         for n in range(1001):
             assert catalan_mod(n, m) == vals[n]
 
+    @pytest.mark.parametrize("m", [6, 12, 30, 1001, 2**10, 3**7, 5**4, 10**9 + 7, 2**64 + 13, 2**70 + 3])
+    def test_against_exact_values(self, m):
+        # Composite moduli, prime powers and moduli above 2**64, against
+        # the exact bigint reduced.
+        for n in range(400):
+            assert catalan_mod(n, m) == catalan(n) % m, (n, m)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             catalan_mod(-1, 2)
