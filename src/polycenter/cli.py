@@ -15,8 +15,8 @@ import math
 import sys
 from pathlib import Path
 
-from .congruences import Theorem, _first_mismatch, verify_congruence
-from .enumeration import _key_order, central_census, census_to_json, count_vertex0_outside
+from .congruences import Theorem, VerificationReport, _first_mismatch, verify_congruence
+from .enumeration import _key_order, _shape_json, central_census, census_to_json, count_vertex0_outside
 from .model import DIAMETER, Dissection, parse_diagonals
 from .recursions import (
     _central_terms,
@@ -91,6 +91,11 @@ COUNT_LIMIT = 425_000
 
 def _finish(value, args) -> int:
     print(value)
+    return _check_expect(value, args)
+
+
+def _check_expect(value, args) -> int:
+    """1, with an error line on stderr, when --expect was given and value differs from it; else 0."""
     if args.expect is not None and str(value) != args.expect:
         print(f"error: expected {args.expect}, got {value}", file=sys.stderr)
         return 1
@@ -182,6 +187,12 @@ def _shape_text(shape) -> str:
     return DIAMETER if shape == DIAMETER else ",".join(map(str, shape))
 
 
+def _print_report(report: VerificationReport, args, text: str) -> int:
+    """Print the report as one JSON line with --json, else the caller's text line; exit 0 iff it passed."""
+    print(json.dumps(report.to_json(), sort_keys=True) if args.json else text)
+    return 0 if report.passed else 1
+
+
 def _verify_recursion(args) -> int:
     if args.max < 0:
         raise ValueError("max must be >= 0")
@@ -215,13 +226,9 @@ def _verify_congruence(args) -> int:
     if theorem is Theorem.MODP_KANGULATION and args.max * (args.k - 1) > KANGP_LIMIT:
         raise ValueError(f"max*(k-1)={args.max * (args.k - 1)} is above the limit of {KANGP_LIMIT}")
     report = verify_congruence(theorem, args.max, p=args.p, k=args.k)
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    elif report.passed:
-        print(f"{args.theorem}: verified up to n={args.max}")
-    else:
-        print(f"{args.theorem}: counterexample {report.counterexample}")
-    return 0 if report.passed else 1
+    if report.passed:
+        return _print_report(report, args, f"{args.theorem}: verified up to n={args.max}")
+    return _print_report(report, args, f"{args.theorem}: counterexample {report.counterexample}")
 
 
 def _verify_census(args) -> int:
@@ -235,30 +242,19 @@ def _verify_census(args) -> int:
     enumerated = {e.key: e.count for e in central_census(n, k)}
     shapes = sorted(expected.keys() | enumerated.keys(), key=_key_order)
     counterexample, cases = _first_mismatch(
-        (
-            {"shape": shape if shape == DIAMETER else list(shape)},
-            str(expected.get(shape, 0)),
-            str(enumerated.get(shape, 0)),
-        )
+        ({"shape": _shape_json(shape)}, str(expected.get(shape, 0)), str(enumerated.get(shape, 0)))
         for shape in shapes
     )
-    if args.json:
-        doc = {
-            "range": {"n": n, "k": k},
-            "cases": cases,
-            "passed": counterexample is None,
-            "counterexample": counterexample,
-        }
-        print(json.dumps(doc, sort_keys=True))
-    elif counterexample is None:
-        print(f"census n={n} k={k}: verified {cases} cases")
-    else:
-        shape = _shape_text(counterexample["shape"])
-        print(
-            f"census n={n} k={k}: shape {shape} expected {counterexample['expected']}, "
-            f"enumerated {counterexample['actual']}"
-        )
-    return 0 if counterexample is None else 1
+    report = VerificationReport(None, {"n": n, "k": k}, counterexample is None, counterexample, cases)
+    if report.passed:
+        return _print_report(report, args, f"census n={n} k={k}: verified {cases} cases")
+    shape = _shape_text(counterexample["shape"])
+    return _print_report(
+        report,
+        args,
+        f"census n={n} k={k}: shape {shape} expected {counterexample['expected']}, "
+        f"enumerated {counterexample['actual']}",
+    )
 
 
 def _cmd_census(args) -> int:
@@ -288,10 +284,7 @@ def _cmd_fixed_vertex(args) -> int:
     if len(set(values.values())) != 1:
         print("error: counts disagree", file=sys.stderr)
         return 1
-    if args.expect is not None and str(closed) != args.expect:
-        print(f"error: expected {args.expect}, got {closed}", file=sys.stderr)
-        return 1
-    return 0
+    return _check_expect(closed, args)
 
 
 def _cmd_render(args) -> int:

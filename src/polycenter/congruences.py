@@ -47,28 +47,32 @@ def predict_mod4(n: int) -> int:
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of a congruence sweep; passed iff no counterexample was found.
+    """Outcome of a verification; passed iff no counterexample was found.
 
-    ``cases`` counts the indices compared: every index of the range on a
-    pass, or up to and including the counterexample on a failure.
+    ``bounds`` is the range checked, such as a congruence sweep's max_n or
+    a census check's n and k, and ``theorem`` is None for a check of no
+    congruence theorem.  ``cases`` counts the cases compared: every case of
+    the range on a pass, or up to and including the counterexample on a
+    failure.
     """
 
-    theorem: Theorem
+    theorem: "Theorem | None"
     bounds: dict
     passed: bool
     counterexample: "dict | None" = None
     cases: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
+        """The report as a JSON-ready dict; "theorem" only when there is one."""
+        doc = {
             "range": dict(self.bounds),
             "cases": self.cases,
             "passed": self.passed,
-            "counterexample": None
-            if self.counterexample is None
-            else dict(self.counterexample),
+            "counterexample": None if self.counterexample is None else dict(self.counterexample),
         }
+        if self.theorem is not None:
+            doc["theorem"] = self.theorem.value
+        return doc
 
 
 #: The first 13 primes; as Miller-Rabin bases they decide primality exactly

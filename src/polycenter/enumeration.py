@@ -151,18 +151,17 @@ def central_census(n: int, k: int = 3) -> list:
     return [CensusEntry(key, tally[key]) for key in sorted(tally, key=_key_order)]
 
 
+def _shape_json(key):
+    """A census key in JSON form: "diameter", or the sorted side lengths as a list."""
+    return DIAMETER if key == DIAMETER else list(key)
+
+
 def census_to_json(n: int, k: int, entries) -> dict:
     """JSON-ready census: counts as decimal strings, shapes as lists or "diameter"."""
     return {
         "n": n,
         "k": k,
-        "entries": [
-            {
-                "shape": DIAMETER if e.key == DIAMETER else list(e.key),
-                "count": str(e.count),
-            }
-            for e in entries
-        ],
+        "entries": [{"shape": _shape_json(e.key), "count": str(e.count)} for e in entries],
     }
 
 

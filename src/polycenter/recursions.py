@@ -41,14 +41,14 @@ def bounded_partitions(
             yield (first, *rest)
 
 
-def _families(n: int, k: int, m: int, c: list) -> Iterator:
+def _families(n: int, k: int, m: int, c: list, top: int) -> Iterator:
     """The terms of :func:`_central_sum` in index space, as families that
     share one placement multiplicity.
 
     A side of length 1 + (k-2)j cuts off a sub-polygon with c[j] =
     F(j, k-1) k-angulations, so a central k-gon is a sorted k-tuple of
-    indices 0 <= j <= top summing to m = (n-k)/(k-2), where top is the
-    largest index whose side is < n/2.  A family is
+    indices 0 <= j <= top summing to m = (n-k)/(k-2), where top, from
+    :func:`_central`, is the largest index whose side is < n/2.  A family is
     ``(indices, total, product, multiplicity)``: the tuples whose first k-2
     indices have product ``product`` over c and whose last two are ``a`` and
     ``total - a`` for ``a`` in ``indices``.  For fixed first k-2 indices the
@@ -57,7 +57,6 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
     those two tails is a family of its own and the other tails form one.
     Each multiplicity is one checked division.
     """
-    top = ((n - 1) // 2 - 1) // (k - 2)
     # A sorted k-tuple summing to m starts with at least k - m zeros, and
     # c[0] = 1: place them as one run, so the walk recurses at most m levels.
     # The zeros! of that run cancels in every multiplicity, so neither k!
@@ -100,7 +99,7 @@ def _families(n: int, k: int, m: int, c: list) -> Iterator:
 
 
 def _central(n: int, k: int):
-    """What one central recursion needs: ``(c, diameter, m)``.
+    """What one central recursion needs: ``(c, diameter, m, top)``.
 
     c[j] = F(j, k-1), the k-angulations of a sub-polygon cut off by a side
     of length 1 + (k-2)j, for every j whose side is <= n/2, read from the
@@ -109,11 +108,14 @@ def _central(n: int, k: int):
     zero unless n is even and (n/2 - 1) is divisible by k-2.  m is the
     index with n = (k-2)m + 2, None unless the n-gon has k-angulations;
     the k sides of a central cell then have indices summing to m - 1.
+    top is the largest index whose side is < n/2: j itself, unless the
+    side of j is the diameter n/2.
     """
     j, r = divmod(n // 2 - 1, k - 2)
     c = _fuss_catalan_prefix(j, k - 1)
-    diameter = (n // 2) * c[j] ** 2 if n % 2 == 0 and not r else 0
-    return c, diameter, _fuss_index(n, k)
+    on_diameter = n % 2 == 0 and not r
+    diameter = (n // 2) * c[j] ** 2 if on_diameter else 0
+    return c, diameter, _fuss_index(n, k), j - 1 if on_diameter else j
 
 
 def _central_terms(n: int, k: int) -> Iterator:
@@ -128,12 +130,11 @@ def _central_terms(n: int, k: int) -> Iterator:
     its indices.  A tuple starts with at least k - (m-1) zeros, placed as
     one run, so :func:`bounded_partitions` recurses fewer than m levels.
     """
-    c, diameter, m = _central(n, k)
+    c, diameter, m, top = _central(n, k)
     if n % 2 == 0:
         yield DIAMETER, diameter
     if m is None or m < 1:
         return
-    top = ((n - 1) // 2 - 1) // (k - 2)
     parts = min(k, m - 1)
     zeros = (0,) * (k - parts)
     for tail in bounded_partitions(m - 1, parts, 0, top):
@@ -146,9 +147,9 @@ def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
     :func:`_central_terms`, with each family of :func:`_families` summed as
     one dot product of c over its indices a with c over their partners total - a."""
-    c, result, m = _central(n, k)
+    c, result, m, top = _central(n, k)
     if m is not None:
-        for indices, total, product, multiplicity in _families(n, k, m - 1, c):
+        for indices, total, product, multiplicity in _families(n, k, m - 1, c, top):
             result += multiplicity * product * sum([c[a] * c[total - a] for a in indices])
     return result
 

@@ -119,6 +119,15 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert "n=20 OK" in out and "verified 18 cases" in out
 
+    def test_recursion_failure_line(self, monkeypatch, capsys):
+        from polycenter import catalan
+
+        monkeypatch.setattr("polycenter.cli.central_recursion_rhs", lambda n: catalan(n - 2) + (n == 6))
+        assert run(["verify", "recursion", "--kind", "central", "--max", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "n=3 OK\nn=4 OK\nn=5 OK\nn=6 FAIL: recursion gives 15, expected 14\n"
+        assert captured.err == ""
+
     def test_recursion_quad_and_kang(self, capsys):
         assert run(["verify", "recursion", "--kind", "quad", "--max", "10"]) == 0
         assert run(["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "30"]) == 0
@@ -180,6 +189,24 @@ class TestVerifyCommands:
         assert doc["passed"] is True and doc["counterexample"] is None
         assert doc["theorem"] == "odd" and doc["range"] == {"max_n": 100}
         assert doc["cases"] == 101
+
+    def test_congruence_counterexample(self, monkeypatch, capsys):
+        # C(6) = 132 is even; a prediction of odd at n = 6 is the first mismatch
+        from polycenter.congruences import predict_mod2
+
+        monkeypatch.setattr("polycenter.congruences.predict_mod2", lambda n: 1 if n == 6 else predict_mod2(n))
+        argv = ["verify", "congruence", "--theorem", "odd", "--max", "100"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "odd: counterexample {'n': 6, 'expected': 1, 'actual': 0}\n"
+        assert captured.err == ""
+        assert run(argv + ["--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            '{"cases": 7, "counterexample": {"actual": 0, "expected": 1, "n": 6}, '
+            '"passed": false, "range": {"max_n": 100}, "theorem": "odd"}\n'
+        )
+        assert captured.err == ""
 
     def test_congruence_vacuous_range_reports_zero_cases(self, capsys):
         argv = ["verify", "congruence", "--theorem", "modp", "--p", "101", "--max", "50"]
@@ -465,8 +492,16 @@ class TestCensusCommand:
             (["census", "14", "--k", "4", "--json"], "dd96913e09ccbda2d9c6f3841c065665dde94641cf4ec578ebd2d927f33bd30f"),
             (["census", "42", "--k", "22", "--json"], "3088830e849c73238903124a22985e95cf3fce7c3349718a1fd8e6ef69f5aa89"),
             (["verify", "census", "16", "--json"], "d6723ad2c5260ae29eae25b5be34cb531755053ea8ebee6d714df3a9a561c537"),
+            (
+                ["verify", "congruence", "--theorem", "odd", "--max", "100", "--json"],
+                "ade1d3a53b26f908aa3717120e7360e021262845daa902da7dead5caf719d589",
+            ),
+            (
+                ["verify", "congruence", "--theorem", "kangp", "--p", "5", "--k", "4", "--max", "100", "--json"],
+                "de0d6532654e647e7d65b06d0bb916f4e92085e7ce8ac484e9a266b8ee79848b",
+            ),
         ],
-        ids=["census-14", "census-14-k4", "census-42-k22", "verify-census-16"],
+        ids=["census-14", "census-14-k4", "census-42-k22", "verify-census-16", "verify-odd-100", "verify-kangp-100"],
     )
     def test_pinned_bytes(self, capsys, argv, digest):
         assert run(argv) == 0
@@ -480,6 +515,25 @@ class TestFixedVertexCommand:
             line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
         )
         assert lines == {"closed-form": "9", "brute-force": "9", "dyck": "9"}
+
+    def test_expect(self, capsys):
+        assert run(["fixed-vertex", "10", "--expect", "1099"]) == 0
+        assert capsys.readouterr().out == "closed-form\t1099\n"
+
+    def test_expect_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr("polycenter.cli.fixed_vertex_outside", lambda n: 1098)
+        assert run(["fixed-vertex", "10", "--expect", "1099"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "closed-form\t1098\n"
+        assert captured.err == "error: expected 1099, got 1098\n"
+
+    def test_counts_disagree(self, monkeypatch, capsys):
+        # the disagreement is reported alone, before any --expect check
+        monkeypatch.setattr("polycenter.cli.dyck_formula", lambda m: 0)
+        assert run(["fixed-vertex", "6", "--brute", "--dyck", "--expect", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "closed-form\t9\nbrute-force\t9\ndyck\t0\n"
+        assert captured.err == "error: counts disagree\n"
 
     @pytest.mark.parametrize("flags", [[], ["--dyck"], ["--brute"]])
     def test_refused_above_the_limit(self, flags):

@@ -134,8 +134,8 @@ class TestCentralTerms:
         # for k = 3 the side of index j has length j + 1, and the indices sum
         # to n - 3 = 27, so the families with total 20 have first index 7
         n = 30
-        c, _, m = _central(n, 3)
-        families = _families(n, 3, m - 1, c)
+        c, _, m, top = _central(n, 3)
+        families = _families(n, 3, m - 1, c, top)
         families = [(list(indices), mult) for indices, total, _, mult in families if total == 20]
         # a == 7 extends the run of the prefix; 7 < a < 10 share one
         # multiplicity; a == 10 pairs with itself
