@@ -146,7 +146,7 @@ def placement_count(lengths, n: int) -> int:
     the multiset; the division is always exact (each subset is counted once
     per choice of starting vertex).  The recursion's term stream reads it
     once per term; the recursion sum reads the same multiplicity from run
-    lengths instead, once per family of tuples that share them.
+    lengths instead, as one checked division per distinct divisor.
     """
     lengths = tuple(lengths)
     k = len(lengths)

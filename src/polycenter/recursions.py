@@ -7,7 +7,9 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import perm, prod
+from operator import mul
 from typing import Iterator
 
 from .model import DIAMETER, placement_count
@@ -41,28 +43,27 @@ def bounded_partitions(
             yield (first, *rest)
 
 
-def _families(n: int, k: int, m: int, c: list, top: int) -> Iterator:
-    """The terms of :func:`_central_sum` in index space, as families that
-    share one placement multiplicity.
+def _weights(n: int, k: int, m: int, c: list, top: int):
+    """The terms of :func:`_central_sum` in index space, bucketed by divisor.
 
     A side of length 1 + (k-2)j cuts off a sub-polygon with c[j] =
     F(j, k-1) k-angulations, so a central k-gon is a sorted k-tuple of
     indices 0 <= j <= top summing to m = (n-k)/(k-2), where top, from
-    :func:`_central`, is the largest index whose side is < n/2.  A family is
-    ``(indices, total, product, multiplicity)``: the tuples whose first k-2
-    indices have product ``product`` over c and whose last two are ``a`` and
-    ``total - a`` for ``a`` in ``indices``.  For fixed first k-2 indices the
-    run lengths r, and with them the multiplicity n * k! / (k * prod(r!)),
-    change only when ``a`` equals index k-2 or ``a == total - a``; each of
-    those two tails is a family of its own and the other tails form one.
-    Each multiplicity is one checked division.
+    :func:`_central`, is the largest index whose side is < n/2.  Its
+    placement multiplicity is n * k! / (k * prod(r!)) over its run lengths
+    r.  Returns ``(arrangements, weights)``: every tuple adds the product of
+    c over its indices to ``weights[d]``, where ``arrangements // d`` is its
+    multiplicity.  For fixed first k-2 indices the run lengths change only
+    when the last two indices a <= total - a have a equal to index k-2 or
+    to total - a; each of those tails is one product, and the other tails
+    are one dot product of c over a with c over total - a.
     """
     # A sorted k-tuple summing to m starts with at least k - m zeros, and
     # c[0] = 1: place them as one run, so the walk recurses at most m levels.
     # The zeros! of that run cancels in every multiplicity, so neither k!
     # nor zeros! is built: the numerator n * k! / zeros! is one perm.
     zeros = min(k - 3, max(0, k - m))
-    arrangements = n * perm(k, k - zeros)
+    weights = defaultdict(int)
 
     def walk(depth, last, total, product, symmetry, run):
         # depth indices are placed, the last is last; symmetry is k * prod(r!)
@@ -72,7 +73,7 @@ def _families(n: int, k: int, m: int, c: list, top: int) -> Iterator:
         if depth < k - 3:
             for j in range(last, min(top, total // (k - depth)) + 1):
                 j_run = run + 1 if j == last else 1
-                yield from walk(depth + 1, j, total - j, product * c[j], symmetry * j_run, j_run)
+                walk(depth + 1, j, total - j, product * c[j], symmetry * j_run, j_run)
             return
         for j in range(last, min(top, total // 3) + 1):
             j_run = run + 1 if j == last else 1
@@ -83,19 +84,18 @@ def _families(n: int, k: int, m: int, c: list, top: int) -> Iterator:
             lo = max(j, rest - top)
             hi = rest // 2
             if lo == j:
-                tail = (j_run + 1) * (j_run + 2) if 2 * j == rest else j_run + 1
-                yield range(j, j + 1), rest, weight, _exact_div(arrangements, sym * tail)
+                d = sym * ((j_run + 1) * (j_run + 2) if 2 * j == rest else j_run + 1)
+                weights[d] += weight * c[j] * c[rest - j]
                 lo += 1
-            if lo > hi:
-                continue
-            if 2 * hi == rest:
-                if lo < hi:
-                    yield range(lo, hi), rest, weight, _exact_div(arrangements, sym)
-                yield range(hi, hi + 1), rest, weight, _exact_div(arrangements, sym * 2)
-            else:
-                yield range(lo, hi + 1), rest, weight, _exact_div(arrangements, sym)
+            if lo <= hi and 2 * hi == rest:
+                weights[sym * 2] += weight * c[hi] * c[hi]
+                hi -= 1
+            if lo <= hi:
+                dot = sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+                weights[sym] += weight * dot
 
-    return walk(zeros, 0, m, 1, k, zeros)
+    walk(zeros, 0, m, 1, k, zeros)
+    return n * perm(k, k - zeros), weights
 
 
 def _central(n: int, k: int):
@@ -145,12 +145,12 @@ def _central_terms(n: int, k: int) -> Iterator:
 
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
-    :func:`_central_terms`, with each family of :func:`_families` summed as
-    one dot product of c over its indices a with c over their partners total - a."""
+    :func:`_central_terms`, with one checked division per divisor of
+    :func:`_weights` for the multiplicity shared by its bucket."""
     c, result, m, top = _central(n, k)
     if m is not None:
-        for indices, total, product, multiplicity in _families(n, k, m - 1, c, top):
-            result += multiplicity * product * sum([c[a] * c[total - a] for a in indices])
+        arrangements, weights = _weights(n, k, m - 1, c, top)
+        result += sum(_exact_div(arrangements, d) * weight for d, weight in weights.items())
     return result
 
 
@@ -204,7 +204,7 @@ def fixed_vertex_outside(n: int) -> int:
     if n < 3:
         raise ValueError("n must be >= 3")
     c = _fuss_catalan_prefix(n - 2, 2)
-    return sum(c[m] * c[n - 2 - m] for m in range(1, n // 2))
+    return sum(map(mul, c[1 : n // 2], c[n - 1 - n // 2 : n - 2][::-1]))
 
 
 def fixed_vertex_outside_double_sum(n: int) -> int:
@@ -213,11 +213,11 @@ def fixed_vertex_outside_double_sum(n: int) -> int:
     if n < 3:
         raise ValueError("n must be >= 3")
     c = _fuss_catalan_prefix(n - 3, 2)
-    total = 0
-    for length in range(2, n // 2 + 1):
-        for j in range(1, length):
-            total += c[n - length - 1] * c[length - j - 1] * c[j - 1]
-    return total
+    # the near endpoint j = 1 .. length-1 pairs c[j-1] with c[length-1-j]
+    return sum(
+        c[n - length - 1] * sum(map(mul, c[: length - 1], c[: length - 1][::-1]))
+        for length in range(2, n // 2 + 1)
+    )
 
 
 def dyck_formula(m: int) -> int:

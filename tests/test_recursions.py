@@ -23,7 +23,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.recursions import _central, _central_sum, _central_terms, _families, bounded_partitions
+from polycenter.recursions import _central, _central_sum, _central_terms, _weights, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -130,20 +130,44 @@ class TestCentralTerms:
         assert shape in dict(terms)
         assert terms == reference_terms(n, k)
 
-    def test_families_split_where_the_multiplicity_changes(self):
-        # for k = 3 the side of index j has length j + 1, and the indices sum
-        # to n - 3 = 27, so the families with total 20 have first index 7
+    def test_buckets_are_the_distinct_placement_counts(self):
+        # each bucket's divisor d gives one multiplicity arrangements // d; for
+        # k = 3 these are exactly the distinct placement counts of the shapes,
+        # and each bucket holds the sub-polygon products of those shapes
         n = 30
         c, _, m, top = _central(n, 3)
-        families = _families(n, 3, m - 1, c, top)
-        families = [(list(indices), mult) for indices, total, _, mult in families if total == 20]
-        # a == 7 extends the run of the prefix; 7 < a < 10 share one
-        # multiplicity; a == 10 pairs with itself
-        assert families == [
-            ([7], placement_count((8, 8, 14), n)),
-            ([8, 9], placement_count((8, 9, 13), n)),
-            ([10], placement_count((8, 11, 11), n)),
-        ]
+        arrangements, weights = _weights(n, 3, m - 1, c, top)
+        by_count = {}
+        for shape, _ in reference_terms(n, 3):
+            if shape != DIAMETER:
+                count = placement_count(shape, n)
+                weight = prod(kangulation_count(side + 1, 3) for side in shape)
+                by_count[count] = by_count.get(count, 0) + weight
+        assert all(arrangements % d == 0 for d in weights)
+        assert {arrangements // d: weight for d, weight in weights.items()} == by_count
+        # all sides equal, two equal, all distinct
+        assert sorted(by_count) == [n // 3, n, 2 * n]
+
+    @pytest.mark.parametrize("k", [10, 17, 40, 101])
+    def test_sum_matches_terms_when_k_exceeds_the_index_sum(self, k):
+        # at m <= 8 the k indices start with a run of at least k - m zeros:
+        # the numerator is perm(k, k - zeros) and runs grow past length 2
+        for m in range(1, 9):
+            n = (k - 2) * m + 2
+            expected = sum(count for _, count in reference_terms(n, k))
+            assert _central_sum(n, k) == sum(count for _, count in _central_terms(n, k)) == expected, (n, k)
+
+    def test_buckets_do_not_grow_with_k(self):
+        # k = 10**6 indices summing to 3: the walk holds one bucket per
+        # divisor, not one entry per index.  Index 2 is the diameter, so the
+        # walk reads c[0] = c[1] = 1 only, top is 1 and the one cell is
+        # k - 3 zeros and three ones; _central would also build F(2, k-1)
+        # for the diameter term, a ratio of two 20-Mbit falling factorials
+        n, k = (10**6 - 2) * 4 + 2, 10**6
+        c = sequences._fuss_catalan_prefix(1, k - 1)
+        arrangements, weights = _weights(n, k, 3, c, 1)
+        assert len(weights) <= 5
+        assert sum(arrangements // d * w for d, w in weights.items()) == n * (k - 1) * (k - 2) // 6
 
 
 class TestCentralRecursion:
