@@ -62,11 +62,11 @@ CONGRUENCE_LIMIT = 10_000_000
 
 #: Largest --max times (k-1) that verify congruence --theorem kangp accepts.
 #: It bounds the stepping of a failing run, which steps max/(k-2) ratios of
-#: two falling factorials of about k factors and strips p from them, so its
-#: cost grows as about max*k, most for p = 3: that stepping to --p 3 --k 199
-#: --max 10000000 took 25 to 30 s on CPython 3.11 and 32 to 34 s on 3.10,
-#: where to --p 7 --k 10001 --max 10000000 it runs for minutes.  A passing
-#: run at the cap costs only its Legendre reads (0.07 s at --k 199).
+#: min(m, k-1) - 1 terms a side and strips p from them, most for p = 3: that
+#: stepping to --p 3 --k 199 --max 10000000 took 25 to 26 s on CPython 3.11
+#: and 30 s on 3.10, in process.  A larger k steps fewer and shorter ratios
+#: (to --p 7 --k 10001 --max 10000000: 1.6 s).  A passing run at the cap
+#: costs only its Legendre reads (0.07 s at --k 199).
 KANGP_LIMIT = 2_000_000_000
 
 #: Largest n that fixed-vertex accepts.  The cost of its closed form and Dyck

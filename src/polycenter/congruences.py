@@ -119,10 +119,11 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
     num, den prime to p and reduced mod q = p**e.  Each step strips the
-    powers of p from the numerator and denominator of _ratio(m, k), two
-    falling factorials, into v and multiplies the rests into num and den.
-    den is inverted only at the indices of ms, so every step costs a few
-    operations on numbers that do not grow with the range.
+    powers of p from the numerator and denominator of _ratio(m, k), with
+    min(m, k) - 1 terms a side once the shared factors cancel, into v and
+    multiplies the rests into num and den.  den is inverted only at the
+    indices of ms, so every step costs a few operations on numbers that do
+    not grow with the range.
 
     A target more than one index past the last stepped one first reads
     v_p(F(t)) from Legendre's formula, F(t) = (kt)!/(t!((k-1)t+1)!).  When

@@ -119,8 +119,10 @@ def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
 
     Empty stream when n fails the parity constraint n = 2 (mod k-2).
     """
+    # _classified yields every diagonal in range and oriented, so the
+    # objects skip Dissection's checks.
     for diags, _ in _classified(n, k):
-        yield Dissection(n, diags, k)
+        yield Dissection._make((n, frozenset(diags), k))
 
 
 class CensusEntry(NamedTuple):

@@ -48,13 +48,18 @@ def fuss_catalan(n: int, k: int) -> int:
 
 
 def _ratio(m: int, k: int) -> tuple:
-    """F(m+1)/F(m) with parameter k as (numerator, denominator).
+    """F(m+1)/F(m) with parameter k as (numerator, denominator), shared factors cancelled.
 
-    F(m, k) = (km)! / (m! ((k-1)m + 1)!), so the ratio is the falling
-    factorial (km+k)!/(km)! over (m+1) times ((k-1)m+k)!/((k-1)m+1)!, each
-    one math.perm.
+    F(m, k) = (km)! / (m! ((k-1)m + 1)!), so the ratio is (km+1)...(km+k)
+    over (m+1) times ((k-1)m+2)...((k-1)m+k).  km+k = k(m+1) cancels the
+    m+1, and for m < k the k-m terms km+1...(k-1)m+k appear on both sides.
+    For m >= 1 each side keeps s = min(m, k) - 1 terms, one math.perm; at
+    k = 2 that is 2(2m+1)/(m+2).  At m = 0 the ratio is F(1)/F(0) = 1.
     """
-    return perm(k * m + k, k), (m + 1) * perm((k - 1) * m + k, k - 1)
+    if m == 0:
+        return 1, 1
+    s = m - 1 if m < k else k - 1  # min(m, k) - 1 without a call per step
+    return k * perm(k * m + k - 1, s), perm((k - 1) * m + s + 1, s)
 
 
 def _legendre(x: int, p: int) -> int:
@@ -77,11 +82,13 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
     from one grow-only table per k, shared by the central recursions and
     the fixed-vertex forms: a request past the end of the table steps the
     ratio F(m+1)/F(m) of _ratio(m, k) on from where it ends, with every
-    division checked, so each F(m) is computed once per process.  The table
-    for k is never longer than the longest list a single call has asked
-    for, which that call holds anyway.
+    division checked, so each F(m) is computed once per process.  A table
+    starts at F(0) = 1, and each step multiplies min(m, k) - 1 terms per
+    side, so a small index costs little at any k.  The table for k is never
+    longer than the longest list a single call has asked for, which that
+    call holds anyway.
     """
-    table = _prefixes.get(k, [1, 1])  # F(0, k) = F(1, k) = 1 for every k
+    table = _prefixes.get(k, [1])
     if len(table) <= max_m:
         # A grown copy replaces the list, so no caller, in any thread, sees a
         # table that is half extended or extended twice from one end.

@@ -143,16 +143,26 @@ class TestVerifyCommands:
         assert done.stdout == "n=3998 OK\nverified 1 cases\n"
 
     def test_recursion_kang_with_huge_k(self):
-        # The one case reads F(j, k-1) only for j <= 1, where every prefix
-        # table starts, so it steps no ratio, and its placement numerator
-        # n*k!/(k-1)! is one math.perm of one factor: no product of about k
-        # factors is built, on any interpreter.
+        # The one case reads F(j, k-1) only for j <= 1, so it steps only the
+        # ratio F(1)/F(0) = 1, and its placement numerator n*k!/(k-1)! is
+        # one math.perm of one factor: no product of about k factors is
+        # built, on any interpreter.
         argv = ["verify", "recursion", "--kind", "kang", "--k", "200000", "--max", "400000"]
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=15
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "n=399998 OK\nverified 1 cases\n"
+
+    def test_recursion_kang_steps_small_indices_at_huge_k(self):
+        # The cases read F(2, k-1) = k - 1, one ratio step with one factor
+        # a side once the shared terms cancel, not two products of k factors.
+        argv = ["verify", "recursion", "--kind", "kang", "--k", "1000000", "--max", "4000000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=15
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("verified 3 cases\n")
 
     def test_recursion_kang_with_k_beyond_memory(self):
         # A tuple of the k - 3 leading zero indices would not fit in memory

@@ -232,8 +232,8 @@ class TestResidueSweep:
 
     @pytest.mark.parametrize("k", [1000, 1001])
     def test_large_k_matches_reduced_exact_values(self, k):
-        # Each ratio's numerator and denominator have about k factors, so
-        # the p-strip loop runs on thousand-factor bigints.
+        # Every index here is below k, so each ratio keeps m - 1 factors a
+        # side and the p-strip loop runs on products of terms near k*m.
         exact = [fuss_catalan(m, k) for m in range(21)]
         for p, e in [(3, 1), (7, 1), (2, 2)]:
             q = p**e

@@ -127,6 +127,16 @@ class TestClassifiedStream:
         assert len(got) == len(stream) == kangulation_count(n, k)
         assert got == {d.diagonals for d in enumerate_kangulations(n, k)}
 
+    @pytest.mark.parametrize("n,k", [(12, 3), (14, 4)])
+    def test_enumerator_yields_valid_dissections(self, n, k):
+        """The enumerator skips Dissection's checks; the checked objects are the same."""
+        got = list(enumerate_kangulations(n, k))
+        want = [Dissection(n, diags, k) for diags, _ in _classified(n, k)]
+        assert len(got) == len(want) == kangulation_count(n, k)
+        for d, ref in zip(got, want):
+            assert type(d) is Dissection
+            assert d == ref
+
     @pytest.mark.parametrize(
         "n,k",
         [(n, 3) for n in range(3, 13)]

@@ -159,13 +159,12 @@ class TestCentralTerms:
 
     def test_buckets_do_not_grow_with_k(self):
         # k = 10**6 indices summing to 3: the walk holds one bucket per
-        # divisor, not one entry per index.  Index 2 is the diameter, so the
-        # walk reads c[0] = c[1] = 1 only, top is 1 and the one cell is
-        # k - 3 zeros and three ones; _central would also build F(2, k-1)
-        # for the diameter term, a ratio of two 20-Mbit falling factorials
+        # divisor, not one entry per index.  Index 2 is the diameter, so
+        # top is 1 and the one cell is k - 3 zeros and three ones
         n, k = (10**6 - 2) * 4 + 2, 10**6
-        c = sequences._fuss_catalan_prefix(1, k - 1)
-        arrangements, weights = _weights(n, k, 3, c, 1)
+        c, _, m, top = _central(n, k)
+        assert (m - 1, top) == (3, 1)
+        arrangements, weights = _weights(n, k, m - 1, c, top)
         assert len(weights) <= 5
         assert sum(arrangements // d * w for d, w in weights.items()) == n * (k - 1) * (k - 2) // 6
 
@@ -211,21 +210,20 @@ class TestKangRecursion:
         assert kang_recursion_rhs(3998, 2000) == kangulation_count(3998, 2000) == 1999
 
     def test_large_k_builds_no_ratio(self, monkeypatch):
-        # F(0, k) = F(1, k) = 1 seed every prefix table, and the placement
+        # The one ratio stepped is F(1)/F(0) = (1, 1), and the placement
         # multiplicity divides the leading zeros' factorial away: a huge k
-        # whose cells have indices summing to 1 builds neither k! nor a ratio
-        calls = 0
+        # whose cells have indices summing to 1 builds nothing of size k
+        calls = []
 
         def counted(m, k):
-            nonlocal calls
-            calls += 1
-            return ratio(m, k)
+            calls.append((m, k, ratio(m, k)))
+            return calls[-1][2]
 
         ratio = sequences._ratio
         monkeypatch.setattr(sequences, "_prefixes", {})
         monkeypatch.setattr(sequences, "_ratio", counted)
         assert kang_recursion_rhs(399998, 200000) == kangulation_count(399998, 200000)
-        assert calls == 0
+        assert calls == [(0, 199999, (1, 1))]
 
     def test_large_k_holds_no_index_tuple(self, monkeypatch):
         # The walk tracks its depth as an int: nothing it holds grows with k

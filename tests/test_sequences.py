@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import prod
 
@@ -120,6 +121,13 @@ class TestFussCatalanPrefix:
             sys.setswitchinterval(interval)
         assert wrong == []
 
+    def test_small_index_at_huge_k_is_cheap(self, monkeypatch):
+        # F(2, k) = k: the step from F(1) multiplies no factor of size k
+        monkeypatch.setattr(sequences, "_prefixes", {})
+        start = time.perf_counter()
+        assert _fuss_catalan_prefix(2, 10**6 - 1) == [1, 1, 999999]
+        assert time.perf_counter() - start < 1.0
+
     def test_inexact_step_raises_and_keeps_the_table(self, monkeypatch):
         monkeypatch.setattr(sequences, "_prefixes", {2: [1, 1, 2]})
         monkeypatch.setattr(sequences, "_ratio", lambda m, k: (1, 3))
@@ -129,12 +137,19 @@ class TestFussCatalanPrefix:
 
 
 class TestRatio:
-    @pytest.mark.parametrize("k", [*range(2, 9), 1000, 10000])
+    @pytest.mark.parametrize("k", [*range(2, 9), 1000, 10000, 10**6, 10**10])
     def test_matches_products_and_fuss_catalan(self, k):
-        for m in range(301) if k <= 8 else (0, 1, 7):
+        # Each side keeps s = min(m, k) - 1 terms once k(m+1) cancels m+1
+        # and, for m < k, the terms both sides share; at k >= 10**6 the
+        # uncancelled products would have millions of factors.
+        for m in range(301) if k <= 8 else (0, 1, 2, 7):
             num, den = _ratio(m, k)
-            assert num == prod(range(k * m + 1, k * m + k + 1)), (m, k)
-            assert den == (m + 1) * prod(range((k - 1) * m + 2, (k - 1) * m + k + 1)), (m, k)
+            if m == 0:
+                assert (num, den) == (1, 1), k
+            else:
+                s = min(m, k) - 1
+                assert num == k * prod(range(k * m + k - s, k * m + k)), (m, k)
+                assert den == prod(range((k - 1) * m + 2, (k - 1) * m + s + 2)), (m, k)
             assert fuss_catalan(m + 1, k) * den == fuss_catalan(m, k) * num, (m, k)
 
 
