@@ -51,23 +51,23 @@ ENUMERATION_LIMIT = 3_000_000
 #: 945 MiB.  The per-call cell table's memory is what binds.
 ENUMERATION_N_LIMIT = 360
 
-#: Largest --max that verify congruence accepts.  It bounds the dense sweeps
-#: odd and mod4, which step the residue at every index for a few µs, so a run
-#: at the limit ends in about 30 s (mod4 --max 10000000 takes 21 to 32 s on
-#: CPython 3.11 and 38 to 44 s on 3.10), where --max 1000000000000 would run
-#: for weeks.  A passing modp or kangp run steps nothing: it reads each checked
-#: index's p-adic valuation from Legendre's formula, about log_p of the index
-#: in work, and only a failing run steps up to its first counterexample.
+#: Largest index a residue command accepts: the --max of verify congruence
+#: and the n of catalan --mod.  It bounds the dense sweeps odd and mod4,
+#: which step the residue at every index for a few µs, so a run at the limit
+#: ends in about 30 s (mod4 --max 10000000 takes 21 to 32 s on CPython 3.11
+#: and 38 to 44 s on 3.10), where --max 1000000000000 would run for weeks.
+#: A passing modp or kangp run steps nothing: it reads each checked index's
+#: p-adic valuation from Legendre's formula, about log_p of the index in
+#: work.  Only a library bug makes a run fail, and a failing kangp run steps
+#: up to max/(k-2) ratios of two binomials each.  Stepping all of them at
+#: the limit with p = 3, in process, took 0.4 to 12 s on CPython 3.11
+#: (4.5 s at k = 5, 4.4 s at 199, 10.1 s at 1001, 11.8 s at 1999, 11.9 s
+#: at 2300, 8.5 s at 3163, 0.4 s at 10001) and 1.9 to 76 s on 3.10 (9.2,
+#: 14.6, 51.9, 76.1, 73.9, 52.0 and 1.9 s), whose math.comb multiplies one
+#: factor at a time.  p = 5 and p = 7 took 0.5 to 15.4 s on 3.11.  catalan
+#: --mod sieves 2n + 1 bytes: catalan 10000000 --mod 1000000007 ends in
+#: about 2 s with a peak RSS near 53 MiB.
 CONGRUENCE_LIMIT = 10_000_000
-
-#: Largest --max times (k-1) that verify congruence --theorem kangp accepts.
-#: It bounds the stepping of a failing run, which steps max/(k-2) ratios of
-#: min(m, k-1) - 1 terms a side and strips p from them, most for p = 3: that
-#: stepping to --p 3 --k 199 --max 10000000 took 25 to 26 s on CPython 3.11
-#: and 30 s on 3.10, in process.  A larger k steps fewer and shorter ratios
-#: (to --p 7 --k 10001 --max 10000000: 1.6 s).  A passing run at the cap
-#: costs only its Legendre reads (0.07 s at --k 199).
-KANGP_LIMIT = 2_000_000_000
 
 #: Largest n that fixed-vertex accepts.  The cost of its closed form and Dyck
 #: sum grows as about n**2.8, so fixed-vertex 40000 --dyck ends in about 30 s
@@ -80,12 +80,11 @@ FIXED_VERTEX_LIMIT = 40_000
 #: 220 MiB and writes a 58 MB SVG, where n = 1000000 peaks near 1 GiB.
 RENDER_LIMIT = 250_000
 
-#: Most decimal digits that catalan (with or without --mod), fuss, kang and
-#: quad may compute, estimated before any work.  catalan is the slowest per
-#: digit: catalan 705919, the largest index admitted (424,997 digits), ends
-#: in about 29 s, where quad, kang and fuss at the limit end in 4 to 18 s.
-#: catalan --mod builds no bigint and would cost far less (catalan 705919
-#: --mod 1000000007 ends in under a second), but keeps the same limit.
+#: Most decimal digits that catalan, fuss, kang and quad may compute,
+#: estimated before any work; catalan --mod is bounded by CONGRUENCE_LIMIT
+#: instead.  catalan is the slowest per digit: catalan 705919, the largest
+#: index admitted (424,997 digits), ends in about 29 s, where quad, kang and
+#: fuss at the limit end in 4 to 18 s.
 COUNT_LIMIT = 425_000
 
 
@@ -139,9 +138,12 @@ def _check_count(n: int, k: int) -> None:
 
 def _cmd_catalan(args) -> int:
     n = _n(args)
-    _check_count(n + 2, 3)
-    value = catalan_mod(n, args.mod) if args.mod is not None else catalan(n)
-    return _finish(value, args)
+    if args.mod is None:
+        _check_count(n + 2, 3)
+        return _finish(catalan(n), args)
+    if n > CONGRUENCE_LIMIT:
+        raise ValueError(f"n={n} is above the limit of {CONGRUENCE_LIMIT}")
+    return _finish(catalan_mod(n, args.mod), args)
 
 
 def _cmd_fuss(args) -> int:
@@ -222,10 +224,7 @@ def _verify_recursion(args) -> int:
 def _verify_congruence(args) -> int:
     if args.max > CONGRUENCE_LIMIT:
         raise ValueError(f"max={args.max} is above the limit of {CONGRUENCE_LIMIT}")
-    theorem = Theorem(args.theorem)
-    if theorem is Theorem.MODP_KANGULATION and args.max * (args.k - 1) > KANGP_LIMIT:
-        raise ValueError(f"max*(k-1)={args.max * (args.k - 1)} is above the limit of {KANGP_LIMIT}")
-    report = verify_congruence(theorem, args.max, p=args.p, k=args.k)
+    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k)
     if report.passed:
         return _print_report(report, args, f"{args.theorem}: verified up to n={args.max}")
     return _print_report(report, args, f"{args.theorem}: counterexample {report.counterexample}")

@@ -7,9 +7,11 @@ actual residues are computed exactly, never predicted: one sweep steps the
 Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratio``, which the exact
 prefix table also steps, in the form F(m) = p**v * num / den, with v the
 exact p-adic valuation and the p-free num and den kept mod p**e, so no
-value grows with the range.  The sparse mod-p sweeps first read v at each
-checked index from Legendre's formula (``sequences._legendre``) and step
-only to an index whose v is below e, which no passing run has.
+value grows with the range.  Each side of the ratio is one binomial, which
+holds only a few factors of p, so stripping them costs a few divisions.
+The sparse mod-p sweeps first read v at each checked index from Legendre's
+formula (``sequences._legendre``) and step only to an index whose v is
+below e, which no passing run has.
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
     num, den prime to p and reduced mod q = p**e.  Each step strips the
-    powers of p from the numerator and denominator of _ratio(m, k), with
-    min(m, k) - 1 terms a side once the shared factors cancel, into v and
-    multiplies the rests into num and den.  den is inverted only at the
-    indices of ms, so every step costs a few operations on numbers that do
-    not grow with the range.
+    powers of p from the numerator and denominator of _ratio(m, k) into v
+    and multiplies the rests into num and den.  Each side is one binomial,
+    so by Kummer's theorem it holds at most v_p(k) + log_p(km + k) factors
+    of p, and the strip loops run a few times a step.  den is inverted only
+    at the indices of ms, so every step costs a few operations on numbers
+    that do not grow with the range, besides the two binomials themselves.
 
     A target more than one index past the last stepped one first reads
     v_p(F(t)) from Legendre's formula, F(t) = (kt)!/(t!((k-1)t+1)!).  When

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import comb, isqrt, perm
+from math import comb, isqrt
 
 
 def _integral(x) -> int | None:
@@ -53,13 +53,18 @@ def _ratio(m: int, k: int) -> tuple:
     F(m, k) = (km)! / (m! ((k-1)m + 1)!), so the ratio is (km+1)...(km+k)
     over (m+1) times ((k-1)m+2)...((k-1)m+k).  km+k = k(m+1) cancels the
     m+1, and for m < k the k-m terms km+1...(k-1)m+k appear on both sides.
-    For m >= 1 each side keeps s = min(m, k) - 1 terms, one math.perm; at
-    k = 2 that is 2(2m+1)/(m+2).  At m = 0 the ratio is F(1)/F(0) = 1.
+    For m >= 1 each side keeps s = min(m, k) - 1 terms, and both products
+    hold s!, which cancels too, so each side is one math.comb: k C(km+k-1, s)
+    over C((k-1)m+s+1, s), at k = 2 the ratio 2(2m+1)/(m+2).  At m = 0 the
+    ratio is F(1)/F(0) = 1.  By Kummer's theorem a prime p divides C(a, s)
+    at most floor(log_p a) times, so the numerator holds at most
+    v_p(k) + floor(log_p(km + k - 1)) factors of p and the denominator at
+    most floor(log_p((k-1)m + s + 1)).
     """
     if m == 0:
         return 1, 1
     s = m - 1 if m < k else k - 1  # min(m, k) - 1 without a call per step
-    return k * perm(k * m + k - 1, s), perm((k - 1) * m + s + 1, s)
+    return k * comb(k * m + k - 1, s), comb((k - 1) * m + s + 1, s)
 
 
 def _legendre(x: int, p: int) -> int:
@@ -83,10 +88,9 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
     the fixed-vertex forms: a request past the end of the table steps the
     ratio F(m+1)/F(m) of _ratio(m, k) on from where it ends, with every
     division checked, so each F(m) is computed once per process.  A table
-    starts at F(0) = 1, and each step multiplies min(m, k) - 1 terms per
-    side, so a small index costs little at any k.  The table for k is never
-    longer than the longest list a single call has asked for, which that
-    call holds anyway.
+    starts at F(0) = 1, and each step is one binomial a side, so a small
+    index costs little at any k.  The table for k is never longer than the
+    longest list a single call has asked for, which that call holds anyway.
     """
     table = _prefixes.get(k, [1])
     if len(table) <= max_m:

@@ -21,7 +21,6 @@ from polycenter.cli import (
     ENUMERATION_LIMIT,
     ENUMERATION_N_LIMIT,
     FIXED_VERTEX_LIMIT,
-    KANGP_LIMIT,
     RENDER_LIMIT,
     _preflight,
     run,
@@ -410,27 +409,43 @@ class TestCongruenceLimit:
         assert done.stdout == ""
         assert done.stderr == f"error: max=1000000000000 is above the limit of {CONGRUENCE_LIMIT}\n"
 
-    def test_kangp_refused_above_its_cap(self):
-        # Each ratio step of kangp multiplies k factors: max * (k-1) is capped.
+    def test_kangp_admitted_at_the_limit(self, capsys):
+        # A passing kangp run reads Legendre counts and steps nothing, so it
+        # ends at once at any k; the other theorems ignore --k.
         argv = ["verify", "congruence", "--theorem", "kangp", "--p", "7", "--k", "10001", "--max", "10000000"]
-        start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "kangp: verified up to n=10000000\n", "")
+        assert run(["verify", "congruence", "--theorem", "odd", "--k", "2000001", "--max", "1000"]) == 0
+        assert capsys.readouterr().out == "odd: verified up to n=1000\n"
+
+    def test_catalan_mod_refused_above_the_limit(self):
+        # catalan --mod sieves 2n + 1 bytes, so its n has the same limit.
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", "catalan", "10000001", "--mod", "7"],
+            capture_output=True,
+            text=True,
+            timeout=10,
         )
         assert time.perf_counter() - start < 1.0
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr == f"error: max*(k-1)=100000000000 is above the limit of {KANGP_LIMIT}\n"
+        assert done.stderr == f"error: n=10000001 is above the limit of {CONGRUENCE_LIMIT}\n"
 
-    def test_kangp_cap_admits_the_cap(self, capsys):
-        # For k = 2000001 every n <= max is below k, so both runs sweep no
-        # index and end at once; the other theorems ignore --k.
-        k = 2_000_001
-        argv = ["verify", "congruence", "--theorem", "kangp", "--p", "7", "--k", str(k), "--max"]
-        assert run([*argv, str(KANGP_LIMIT // (k - 1))]) == 0
-        assert run([*argv, str(KANGP_LIMIT // (k - 1) + 1)]) == 2
-        assert run(["verify", "congruence", "--theorem", "odd", "--k", str(k), "--max", "1000"]) == 0
-        assert capsys.readouterr().err == f"error: max*(k-1)={2 * 10**9 + 2 * 10**6} is above the limit of {KANGP_LIMIT}\n"
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (["catalan", "1000000", "--mod", "7"], "1\n"),  # C(1000000) has 602,051 digits
+            (["catalan", "705919", "--mod", "1000000007"], "47871496\n"),
+        ],
+    )
+    def test_catalan_mod_needs_no_digit_count(self, argv, stdout):
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, stdout, "")
 
 
 class TestCountLimit:
@@ -438,7 +453,6 @@ class TestCountLimit:
         "argv",
         [
             ["catalan", "705920"],  # the smallest refused Catalan index
-            ["catalan", "1000000", "--mod", "7"],
             ["fuss", "1000000", "5"],
             ["kang", "2000002", "4"],
             ["quad", "1000000"],

@@ -329,6 +329,17 @@ class TestScaling:
         assert report.passed and report.cases == len(kangp_indices(3, 199, 10_000_000))
         assert elapsed < self.BUDGET_S, elapsed
 
+    def test_dense_steps_at_large_k(self):
+        # A failing kangp run at k = 1001 steps every index; each side of
+        # the ratio holds only a few factors of 3 to strip.
+        start = time.perf_counter()
+        residues = list(_fuss_catalan_residues(range(2001), 1000, 3, 1))
+        elapsed = time.perf_counter() - start
+        assert len(residues) == 2001
+        for m in (0, 1, 2, 999, 1000, 2000):
+            assert residues[m] == (m, fuss_catalan(m, 1000) % 3), m
+        assert elapsed < self.BUDGET_S, elapsed
+
     def test_sparse_modp_to_10000000(self):
         start = time.perf_counter()
         report = verify_congruence(Theorem.MODP_CATALAN, 10_000_000, p=10007)

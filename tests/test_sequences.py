@@ -4,7 +4,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from math import prod
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,17 +140,44 @@ class TestRatio:
     @pytest.mark.parametrize("k", [*range(2, 9), 1000, 10000, 10**6, 10**10])
     def test_matches_products_and_fuss_catalan(self, k):
         # Each side keeps s = min(m, k) - 1 terms once k(m+1) cancels m+1
-        # and, for m < k, the terms both sides share; at k >= 10**6 the
-        # uncancelled products would have millions of factors.
+        # and, for m < k, the terms both sides share, and s! cancels as
+        # well; at k >= 10**6 the uncancelled products would have millions
+        # of factors.
         for m in range(301) if k <= 8 else (0, 1, 2, 7):
             num, den = _ratio(m, k)
             if m == 0:
                 assert (num, den) == (1, 1), k
             else:
                 s = min(m, k) - 1
-                assert num == k * prod(range(k * m + k - s, k * m + k)), (m, k)
-                assert den == prod(range((k - 1) * m + 2, (k - 1) * m + s + 2)), (m, k)
+                assert num == k * comb(k * m + k - 1, s), (m, k)
+                assert den == comb((k - 1) * m + s + 1, s), (m, k)
             assert fuss_catalan(m + 1, k) * den == fuss_catalan(m, k) * num, (m, k)
+
+    @pytest.mark.parametrize("k", [*range(2, 9), 199, 1000])
+    def test_few_factors_of_each_prime(self, k):
+        # Kummer's theorem: p divides a binomial C(a, s) at most
+        # floor(log_p a) times, so stripping p from a step is a few
+        # divisions.
+        def valuation(x, p):
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            return v
+
+        def floor_log(x, p):
+            e = 0
+            while x >= p:
+                x //= p
+                e += 1
+            return e
+
+        for p in (2, 3, 5, 7):
+            for m in range(1, 301):
+                num, den = _ratio(m, k)
+                s = min(m, k) - 1
+                assert valuation(num, p) <= valuation(k, p) + floor_log(k * m + k - 1, p), (m, k, p)
+                assert valuation(den, p) <= floor_log((k - 1) * m + s + 1, p), (m, k, p)
 
 
 class TestFussIndex:
