@@ -457,6 +457,7 @@ class TestCountLimit:
             ["kang", "2000002", "4"],
             ["quad", "1000000"],
             ["catalan", "9" * 400],  # past the float range
+            ["quad", "9" * 400],
             ["fuss", "120", "9" * 4000],
         ],
     )
