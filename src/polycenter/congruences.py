@@ -194,13 +194,12 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
         bounds["k"] = k
         # An n-gon has k-angulations iff n = (k-2)m + 2; their number is
         # fuss_catalan(m, k-1).  p divides n iff m = -2/(k-2) (mod p), a
-        # nonzero residue, so m >= 1 and n >= k; if p divides k-2, no n is
-        # divisible by p.
+        # nonzero residue, so m >= 1 and n >= k.  If p divides k-2, no n is
+        # divisible by p, and no range would check a case.
         step = k - 2
-        if step % p:
-            ms = range(-2 * pow(step, -1, p) % p, (max_n - 2) // step + 1, p)
-        else:
-            ms = range(0)
+        if step % p == 0:
+            raise ValueError(f"p={p} divides k-2={step}, so no n = {step}m + 2 is divisible by p")
+        ms = range(-2 * pow(step, -1, p) % p, (max_n - 2) // step + 1, p)
         residues = _fuss_catalan_residues(ms, k - 1, p=p, e=1)
         cases = (({"n": step * m + 2}, 0, r) for m, r in residues)
     else:

@@ -12,20 +12,32 @@ diagonal and is never central, so it is not visited.
 :func:`_classified` walks these choices depth-first on one explicit stack,
 appending to one list of diagonals and truncating it to backtrack, so the
 first dissection comes after polynomial work and the stream stays lazy.  A
-per-call cell table lists each interval's admissible cells once, with their
-diagonals and :func:`model._central_of`, on the interval's first entry; it
-holds cells, not dissections, and is dropped when the generator ends.
+per-call table holds one entry per interval, built on its first entry by
+:func:`_completions`: the interval's admissible cells, with their diagonals
+and :func:`model._central_of`, or, for a small interval, every completion of
+it, built once from its sides' entries.  A small interval's completions are
+side-less choices, one walk step each, and when it is the last interval
+pending they are appended to the diagonals so far in one pass, each object
+still yielded on its own.  Small means at most ``_REPLAY_LIMIT`` completions:
+the builder gives up past that bound, so no entry holds more completions
+than that, and the table is dropped when the generator ends.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .model import DIAMETER, Dissection, _central_of, contains_vertex
 from .sequences import _fuss_index
+
+#: The most completions a region may have and still be built once per call
+#: and replayed from a list; past it the walk steps through the region's
+#: cells.  On the oracle_census benchmark 64 to 256 measured alike, and 16
+#: and 1024 slower.
+_REPLAY_LIMIT = 64
 
 
 def _cells(lo: int, hi: int, k: int, n: int) -> list:
@@ -60,6 +72,53 @@ def _cells(lo: int, hi: int, k: int, n: int) -> list:
     return out
 
 
+def _completions(interval, k: int, n: int, table: dict) -> tuple:
+    """Build the table entry ``(cells, ds, cs)`` of a region and return it.
+
+    A region with at most ``_REPLAY_LIMIT`` completions gets them in walk
+    order: ``ds`` holds each one's diagonals and ``cs`` its central
+    component, or ``cs`` is None when no completion holds one.  ``cells`` then
+    lists the completions as side-less cells, so the walk takes a whole
+    completion in one step.  Any other region keeps its :func:`_cells`, with
+    ``ds`` None: the builder gives up past the bound, on a side that gave up,
+    and on completions that break the one-central rule, which the walk then
+    reports where it meets them.  Each cell has a completion, so a region
+    with more cells than the bound gives up at once; that also bounds the
+    depth of the recursion into sides, which are looked up in, or added to,
+    the same table, so each interval's cells are built once.
+    """
+    cells = _cells(*interval, k, n)
+    table[interval] = entry = (cells, None, None)
+    if len(cells) > _REPLAY_LIMIT:
+        return entry
+    ds: list = []
+    cs: list = []
+    for cell_diags, sides, cell_central in cells:
+        subs = []
+        for side in reversed(sides):
+            sub_cells, sub_ds, _ = table.get(side) or _completions(side, k, n, table)
+            if sub_ds is None:
+                return entry
+            subs.append(sub_cells)
+        for parts in product(*subs):
+            diags, central = cell_diags, cell_central
+            for part_diags, _, part_central in parts:
+                diags += part_diags
+                if part_central is not None:
+                    if central is not None:
+                        return entry
+                    central = part_central
+            ds.append(diags)
+            cs.append(central)
+            if len(ds) > _REPLAY_LIMIT:
+                return entry
+    held = any(cs)
+    if held and not all(cs):
+        return entry
+    table[interval] = entry = (list(zip(ds, repeat(()), cs)), ds, cs if held else None)
+    return entry
+
+
 def _classified(n: int, k: int) -> Iterator:
     """Every k-angulation of the n-gon as ``(diagonals, central)``, exactly once.
 
@@ -71,9 +130,11 @@ def _classified(n: int, k: int) -> Iterator:
     frame ``(cells, i, pending, mark, central)`` resumes an interval at its
     i-th cell: it restores ``pending``, truncates ``diags`` to ``mark`` and
     restores the central component found so far.  An interval's last cell
-    pushes no frame.  The cells of an interval come from :func:`_cells` on
-    its first entry and are reused until the call ends; an interval of k
-    labels is never entered except as the root of the k-gon.
+    pushes no frame.  Each interval's table entry comes from
+    :func:`_completions` on its first entry and is reused until the call
+    ends.  A small interval that is the last one pending is not entered:
+    its completions are appended to the diagonals so far in one pass, when
+    each gives the object exactly one central component.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -84,24 +145,9 @@ def _classified(n: int, k: int) -> Iterator:
     table: dict = {}
     diags: list = []
     stack: list = []
-    pending = ((0, n - 1), None)
-    central = None
+    cells = _completions((0, n - 1), k, n, table)[0]
+    i, pending, mark, central = 0, None, 0, None
     while True:
-        if pending is None:
-            if central is None:
-                raise AssertionError(f"no central component in {tuple(diags)}")
-            yield tuple(diags), central
-            if not stack:
-                return
-            cells, i, pending, mark, central = stack.pop()
-            del diags[mark:]
-        else:
-            interval, pending = pending
-            cells = table.get(interval)
-            if cells is None:
-                cells = table[interval] = _cells(*interval, k, n)
-            i = 0
-            mark = len(diags)
         if i + 1 < len(cells):
             stack.append((cells, i + 1, pending, mark, central))
         cell_diags, sides, cell_central = cells[i]
@@ -112,6 +158,26 @@ def _classified(n: int, k: int) -> Iterator:
             central = cell_central
         for side in sides:
             pending = (side, pending)
+        if pending is not None:
+            interval, pending = pending
+            cells, ds, cs = table.get(interval) or _completions(interval, k, n, table)
+            # Replay only the last interval pending, when small and when each
+            # completion leaves exactly one central component; otherwise enter
+            # it, so that a broken rule raises at its first object as before.
+            if pending is not None or ds is None or (cs is None) == (central is None):
+                i = 0
+                mark = len(diags)
+                continue
+            base = tuple(diags)
+            yield from zip(map(base.__add__, ds), cs or repeat(central))
+        elif central is None:
+            raise AssertionError(f"no central component in {tuple(diags)}")
+        else:
+            yield tuple(diags), central
+        if not stack:
+            return
+        cells, i, pending, mark, central = stack.pop()
+        del diags[mark:]
 
 
 def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:

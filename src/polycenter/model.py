@@ -108,12 +108,17 @@ class CentralComponent(NamedTuple):
 def _central_of(cell, n: int):
     """The central component that the sorted cell is or has as a side, else None.
 
-    A side (a, b) with 2(b - a) = n is the diameter; a longer side leaves the
-    cell off center, and at most one side reaches n/2.  Otherwise the cell
-    holds the center iff its wrap arc n - (v_last - v_first) is below n/2 too.
-    A diameter's ends are consecutive in one of its two cells and wrap in the
-    other, so exactly one cell of a dissection hits.
+    A cell that spans less than half the polygon, 2(v_last - v_first) < n,
+    can neither hold the center nor have a diameter as a side, so it is
+    rejected at once.  A side (a, b) with 2(b - a) = n is the diameter; a
+    longer side leaves the cell off center, and at most one side reaches n/2.
+    Otherwise the cell holds the center iff its wrap arc
+    n - (v_last - v_first) is below n/2 too.  A diameter's ends are
+    consecutive in one of its two cells and wrap in the other, so exactly one
+    cell of a dissection hits.
     """
+    if 2 * (cell[-1] - cell[0]) < n:
+        return None
     for a, b in zip(cell, cell[1:]):
         if 2 * (b - a) >= n:
             return CentralComponent(n, (a, b)) if 2 * (b - a) == n else None

@@ -224,6 +224,14 @@ class TestVerifyCommands:
         assert run(argv) == 0
         assert capsys.readouterr().out == "modp: verified up to n=50\n"
 
+    def test_congruence_kangp_refused_when_p_divides_k_minus_2(self, capsys):
+        # No n = 999m + 2 is divisible by 3, so no --max would check a case.
+        argv = ["verify", "congruence", "--theorem", "kangp", "--p", "3", "--k", "1001", "--max", "1000000"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p=3 divides k-2=999, so no n = 999m + 2 is divisible by p\n"
+
     def test_congruence_modp(self, capsys):
         assert run(["verify", "congruence", "--theorem", "modp", "--p", "7", "--max", "300"]) == 0
         assert run(["verify", "congruence", "--theorem", "kangp", "--p", "5", "--k", "4", "--max", "100"]) == 0

@@ -183,6 +183,11 @@ class TestCasesChecked:
             if k % p == 0:
                 continue
             for max_n in self.MAX_NS:
+                if (k - 2) % p == 0:
+                    # No n = (k-2)m + 2 is divisible by p: refused, not verified.
+                    with pytest.raises(ValueError, match="divides k-2"):
+                        verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
+                    continue
                 report = verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
                 assert report.passed
                 assert report.cases == len(kangp_indices(p, k, max_n)), (p, k, max_n)

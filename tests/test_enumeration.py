@@ -1,7 +1,9 @@
 """Brute-force generators and the central-component census."""
 
+import hashlib
 import time
-from itertools import combinations, product
+from collections import deque
+from itertools import chain, combinations, product, repeat, takewhile
 
 import pytest
 
@@ -17,7 +19,7 @@ from polycenter import (
     placement_count,
 )
 from polycenter import enumeration
-from polycenter.enumeration import _cells, _classified
+from polycenter.enumeration import _REPLAY_LIMIT, _cells, _classified, _completions
 from polycenter.model import CentralComponent, Dissection, central_component, face_arcs
 
 
@@ -109,6 +111,20 @@ class TestKangulations:
             assert len(seen) == kangulation_count(n, k)
 
 
+#: sha256 of the ``_classified`` stream, recorded before small regions were
+#: replayed: per object, the labels of its diagonals, 255, the vertices of its
+#: central component and 255, as bytes.
+_STREAM_SHA256 = {
+    (14, 3): "f2c66373ec33c3f7ab5dfe415a986dd131501cf3fe82df93bf366b44179fd34d",
+    (15, 3): "ac698196dccf9245aa99a4bbe60fcbd1ef6a208982cc65a0bfa1e72c7adfe093",
+    (18, 4): "b4234c2a757e6b2868f48852c4e01b6b3a3de2f08463f4581e6de59f2e8f0140",
+    (20, 5): "83ebd186c87f98f24f89fc4f56a21fefb8b9418aa89717e1ae92848c83fd80db",
+    (26, 6): "0c2e7c9fe107d323339a7d14c9d5c110a96223163398266ba41ebe18c3085797",
+    (42, 22): "39b523afcfcf084bc20a368ea6854191c5274b747f1f42efcedefadafaa97d4d",
+    (62, 32): "215438d302f40ffebe6bc51fd4ce248a6b1f0b43081eba1fcfaa7d7790e7b02e",
+}
+
+
 class TestClassifiedStream:
     """The central component picked while building cells matches the faces() path."""
 
@@ -153,6 +169,14 @@ class TestClassifiedStream:
             assert diags == ref_diags
             assert central == ref_central, diags
 
+    @pytest.mark.parametrize("n,k", sorted(_STREAM_SHA256))
+    def test_stream_is_pinned(self, n, k):
+        """The stream beyond the reach of the recursive reference, tuple for tuple."""
+        digest = hashlib.sha256()
+        for diags, central in _classified(n, k):
+            digest.update(bytes([*chain.from_iterable(diags), 255, *central.vertices, 255]))
+        assert digest.hexdigest() == _STREAM_SHA256[n, k]
+
     @pytest.mark.parametrize("n,k", [(16, 3), (40, 3), (40, 4), (41, 5), (42, 6)])
     def test_first_object_is_lazy(self, n, k):
         """The first dissection comes without enumerating the rest."""
@@ -161,6 +185,87 @@ class TestClassifiedStream:
         elapsed = time.perf_counter() - start
         assert len(first.diagonals) == (n - 2) // (k - 2) - 1
         assert elapsed < 5.0, elapsed
+
+
+class TestReplay:
+    """A small region is built once per call and replayed; the stream and its checks stay."""
+
+    @pytest.mark.parametrize("n,k", [(14, 3), (13, 3), (16, 4), (17, 5), (22, 6)])
+    def test_builder_matches_the_reference_or_gives_up(self, n, k):
+        """Every region below the root: its sub-stream when small, else its plain cells.
+
+        Each case has regions on both sides of the bound; for k = 3 a region
+        of index j = 5 has 42 completions and one of j = 6 has 132.
+        """
+        small = set()
+        for lo, hi in combinations(range(n), 2):
+            if (hi - lo - 1) % (k - 2) or hi - lo <= k - 1 or hi - lo == n - 1:
+                continue
+            cells, ds, cs = _completions((lo, hi), k, n, {})
+            small.add(ds is not None)
+            if kangulation_count(hi - lo + 1, k) > _REPLAY_LIMIT:
+                assert (cells, ds, cs) == (_cells(lo, hi, k, n), None, None), (lo, hi)
+                continue
+            want = list(_reference_regions(lo, hi, k, n))
+            assert list(zip(ds, cs or repeat(None))) == want, (lo, hi)
+            assert cells == [(diags, (), central) for diags, central in want]
+            assert (cs is None) == (2 * (hi - lo) <= n)
+        assert small == {True, False}
+
+    @staticmethod
+    def _until_raised(n, k, match):
+        got = []
+        with pytest.raises(AssertionError, match=match):
+            for item in _classified(n, k):
+                got.append(item)
+        return got
+
+    @staticmethod
+    def _with_extra_central(monkeypatch, base):
+        """Every cell on the base edge also reports itself as central."""
+        real = enumeration._central_of
+
+        def extra(cell, n):
+            return real(cell, n) or (CentralComponent(n, cell) if (cell[0], cell[-1]) == base else None)
+
+        monkeypatch.setattr(enumeration, "_central_of", extra)
+
+    def test_extra_central_in_a_small_region_is_caught(self, monkeypatch):
+        """The region's completions all report a central cell, so the walk meets two."""
+        n, k, region = 12, 3, (7, 11)
+        self._with_extra_central(monkeypatch, region)
+        _, ds, cs = _completions(region, k, n, {})
+        assert ds is not None and all(cs)
+        got = self._until_raised(n, k, "two central components")
+        assert got == list(takewhile(lambda item: region not in item[0], _reference_classified(n, k)))
+
+    def test_two_centrals_inside_a_small_region_are_caught(self, monkeypatch):
+        """The builder gives up on the region, and the walk reports where it always did."""
+        n, k, region = 8, 3, (0, 6)
+        self._with_extra_central(monkeypatch, region)
+        assert _completions(region, k, n, {})[1] is None
+        got = self._until_raised(n, k, "two central components")
+
+        def one_central(item):
+            diags, central = item
+            return region not in diags or (central.vertices[0], central.vertices[-1]) == region
+
+        assert got == list(takewhile(one_central, _reference_classified(n, k)))
+
+    def test_a_small_region_missing_some_centrals_is_caught(self, monkeypatch):
+        n, k, lost = 8, 3, (1, 3, 6)
+        real = enumeration._central_of
+        monkeypatch.setattr(enumeration, "_central_of", lambda cell, n: None if cell == lost else real(cell, n))
+        assert _completions((0, 6), k, n, {})[1] is None
+        got = self._until_raised(n, k, "no central component")
+        assert got == list(takewhile(lambda item: item[1].vertices != lost, _reference_classified(n, k)))
+
+    def test_missing_central_in_a_small_region_is_caught(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_central_of", lambda cell, n: None)
+        _, ds, cs = _completions((7, 11), 3, 12, {})
+        assert ds is not None and cs is None
+        with pytest.raises(AssertionError, match="no central component"):
+            deque(_classified(12, 3), 0)
 
 
 _FORCED_CASES = [(n, k) for k in range(3, 13) for n in range(k, 3 * k + 1) if (n - 2) % (k - 2) == 0]
