@@ -240,13 +240,14 @@ def _verify_census(args) -> int:
     expected = {shape: count for shape, count in _central_terms(n, k) if count}
     enumerated = {e.key: e.count for e in central_census(n, k)}
     shapes = sorted(expected.keys() | enumerated.keys(), key=_key_order)
-    counterexample, cases = _first_mismatch(
+    cases = (
         ({"shape": _shape_json(shape)}, str(expected.get(shape, 0)), str(enumerated.get(shape, 0)))
         for shape in shapes
     )
-    report = VerificationReport(None, {"n": n, "k": k}, counterexample is None, counterexample, cases)
+    report = VerificationReport(None, {"n": n, "k": k}, *_first_mismatch(cases))
     if report.passed:
-        return _print_report(report, args, f"census n={n} k={k}: verified {cases} cases")
+        return _print_report(report, args, f"census n={n} k={k}: verified {report.cases} cases")
+    counterexample = report.counterexample
     shape = _shape_text(counterexample["shape"])
     return _print_report(
         report,

@@ -10,8 +10,8 @@ exact p-adic valuation and the p-free num and den kept mod p**e, so no
 value grows with the range.  Each side of the ratio is one binomial, which
 holds only a few factors of p, so stripping them costs a few divisions.
 The sparse mod-p sweeps first read v at each checked index from Legendre's
-formula (``sequences._legendre``) and step only to an index whose v is
-below e, which no passing run has.
+formula (``sequences._fuss_valuation``) and step only to an index whose v
+is below e, which no passing run has.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .sequences import _legendre, _ratio
+from .sequences import _fuss_valuation, _ratio
 
 
 class Theorem(Enum):
@@ -49,7 +49,7 @@ def predict_mod4(n: int) -> int:
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of a verification; passed iff no counterexample was found.
+    """Outcome of a verification; ``passed`` is derived, true iff no counterexample was found.
 
     ``bounds`` is the range checked, such as a congruence sweep's max_n or
     a census check's n and k, and ``theorem`` is None for a check of no
@@ -60,9 +60,12 @@ class VerificationReport(NamedTuple):
 
     theorem: "Theorem | None"
     bounds: dict
-    passed: bool
     counterexample: "dict | None" = None
     cases: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_json(self) -> dict:
         """The report as a JSON-ready dict; "theorem" only when there is one."""
@@ -129,7 +132,7 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
     that do not grow with the range, besides the two binomials themselves.
 
     A target more than one index past the last stepped one first reads
-    v_p(F(t)) from Legendre's formula, F(t) = (kt)!/(t!((k-1)t+1)!).  When
+    v_p(F(t)) from Legendre's formula, _fuss_valuation(t, k, p).  When
     that is at least e the residue is 0 and nothing is stepped; otherwise
     the sweep steps on to t and the two valuations must agree.  So a sparse
     range whose residues are all 0 costs about log_p of each index.
@@ -139,7 +142,7 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
     for target in ms:
         legendre = None
         if target > m + 1:
-            legendre = _legendre(k * target, p) - _legendre(target, p) - _legendre((k - 1) * target + 1, p)
+            legendre = _fuss_valuation(target, k, p)
             if legendre >= e:
                 yield target, 0
                 continue
@@ -173,12 +176,10 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     bounds = {"max_n": max_n}
-    if theorem is Theorem.ODD_CHARACTERIZATION:
-        residues = _fuss_catalan_residues(range(max_n + 1), 2, p=2, e=1)
-        cases = (({"n": n}, predict_mod2(n), r) for n, r in residues)
-    elif theorem is Theorem.MOD4_CLASSIFICATION:
-        residues = _fuss_catalan_residues(range(max_n + 1), 2, p=2, e=2)
-        cases = (({"n": n}, predict_mod4(n), r) for n, r in residues)
+    if theorem in (Theorem.ODD_CHARACTERIZATION, Theorem.MOD4_CLASSIFICATION):
+        e, predict = (1, predict_mod2) if theorem is Theorem.ODD_CHARACTERIZATION else (2, predict_mod4)
+        residues = _fuss_catalan_residues(range(max_n + 1), 2, p=2, e=e)
+        cases = (({"n": n}, predict(n), r) for n, r in residues)
     elif theorem is Theorem.MODP_CATALAN:
         if p is None or p < 5 or not is_prime(p):
             raise ValueError("MODP_CATALAN requires a prime p >= 5")
@@ -204,5 +205,4 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
         cases = (({"n": step * m + 2}, 0, r) for m, r in residues)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    counterexample, compared = _first_mismatch(cases)
-    return VerificationReport(theorem, bounds, counterexample is None, counterexample, compared)
+    return VerificationReport(theorem, bounds, *_first_mismatch(cases))

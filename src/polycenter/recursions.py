@@ -68,18 +68,15 @@ def _weights(n: int, k: int, m: int, c: list, top: int):
     def walk(depth, last, total, product, symmetry, run):
         # depth indices are placed, the last is last; symmetry is k * prod(r!)
         # / zeros! over them, the product of each index's position in its run
-        # past the leading zeros; run is the last run's length.  The first k-3
-        # indices recurse; the loop below places index k-2.
-        if depth < k - 3:
-            for j in range(last, min(top, total // (k - depth)) + 1):
-                j_run = run + 1 if j == last else 1
-                walk(depth + 1, j, total - j, product * c[j], symmetry * j_run, j_run)
-            return
-        for j in range(last, min(top, total // 3) + 1):
+        # past the leading zeros; run is the last run's length.  The loop
+        # places index depth + 1: up to index k-3 it recurses, and index k-2
+        # closes the tuple with the last two.
+        for j in range(last, min(top, total // (k - depth)) + 1):
             j_run = run + 1 if j == last else 1
-            rest = total - j
-            weight = product * c[j]
-            sym = symmetry * j_run
+            rest, weight, sym = total - j, product * c[j], symmetry * j_run
+            if depth < k - 3:
+                walk(depth + 1, j, rest, weight, sym, j_run)
+                continue
             # two indices j <= a <= rest - a <= top remain
             lo = max(j, rest - top)
             hi = rest // 2

@@ -67,12 +67,21 @@ def _ratio(m: int, k: int) -> tuple:
     return k * comb(k * m + k - 1, s), comb((k - 1) * m + s + 1, s)
 
 
-def _legendre(x: int, p: int) -> int:
-    """v_p(x!) = sum over i >= 1 of x // p**i (Legendre's formula), for x >= 0 and a prime p."""
+def _fuss_valuation(m: int, k: int, p: int) -> int:
+    """v_p(F(m, k)) for m >= 0, k >= 2 and a prime p, by Legendre's formula.
+
+    F(m, k) = (km)! / (m! ((k-1)m + 1)!) and v_p(x!) = sum over i >= 1 of
+    x // p**i, so one loop over the powers of p floor-divides km, m and
+    (k-1)m + 1 together.  For m >= 1 the other two are at most km; at m = 0
+    the loop does not run, and F(0) = 1.
+    """
+    top, bottom, rest = k * m, m, (k - 1) * m + 1
     v = 0
-    while x:
-        x //= p
-        v += x
+    while top:
+        top //= p
+        bottom //= p
+        rest //= p
+        v += top - bottom - rest
     return v
 
 
@@ -149,10 +158,10 @@ def ballot_T(n: int, k: int) -> int:
 def catalan_mod(n: int, m: int) -> int:
     """C(n) mod m for one n >= 0, with no value above m**2.
 
-    Unlike catalan, a negative n raises ValueError.  C(n) = (2n)!/(n!(n+1)!),
-    so its exponent of each prime p <= 2n is the difference of three
-    Legendre sums, and C(n) mod m is the product of p**v_p(C(n)) mod m over
-    the primes of one sieve of 2n + 1 bytes.  Nothing factors m.
+    Unlike catalan, a negative n raises ValueError.  C(n) = F(n, 2), so its
+    exponent of each prime p <= 2n is _fuss_valuation(n, 2, p), and C(n)
+    mod m is the product of p**v_p(C(n)) mod m over the primes of one sieve
+    of 2n + 1 bytes.  Nothing factors m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -165,7 +174,7 @@ def catalan_mod(n: int, m: int) -> int:
             sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
     residue = 1 % m
     for p in compress(range(top + 1), sieve):
-        v = _legendre(top, p) - _legendre(n, p) - _legendre(n + 1, p)
+        v = _fuss_valuation(n, 2, p)
         if v:
             residue = residue * pow(p, v, m) % m
     return residue

@@ -43,6 +43,23 @@ def elements_with_class(svg_text, cls):
     return [el for el in root.iter() if el.get("class") == cls]
 
 
+def census_off_by_one(monkeypatch):
+    """Count one more (2, 4, 4) cell by recursion, so census 10 mismatches at that shape."""
+
+    def off_by_one(n, k):
+        for shape, count in _central_terms(n, k):
+            yield shape, count + 1 if shape == (2, 4, 4) else count
+
+    monkeypatch.setattr("polycenter.cli._central_terms", off_by_one)
+
+
+def odd_prediction_at_6(monkeypatch):
+    """Predict C(6) = 132 odd, so the odd sweep mismatches first at n = 6."""
+    from polycenter.congruences import predict_mod2
+
+    monkeypatch.setattr("polycenter.congruences.predict_mod2", lambda n: 1 if n == 6 else predict_mod2(n))
+
+
 class TestSequenceCommands:
     def test_catalan(self, capsys):
         assert run(["catalan", "4"]) == 0
@@ -200,10 +217,7 @@ class TestVerifyCommands:
         assert doc["cases"] == 101
 
     def test_congruence_counterexample(self, monkeypatch, capsys):
-        # C(6) = 132 is even; a prediction of odd at n = 6 is the first mismatch
-        from polycenter.congruences import predict_mod2
-
-        monkeypatch.setattr("polycenter.congruences.predict_mod2", lambda n: 1 if n == 6 else predict_mod2(n))
+        odd_prediction_at_6(monkeypatch)
         argv = ["verify", "congruence", "--theorem", "odd", "--max", "100"]
         assert run(argv) == 1
         captured = capsys.readouterr()
@@ -266,11 +280,7 @@ class TestVerifyCensusCommand:
         assert capsys.readouterr().out == f"census n={n} k={k}: verified {doc['cases']} cases\n"
 
     def test_counterexample_names_first_mismatching_shape(self, monkeypatch, capsys):
-        def off_by_one(n, k):
-            for shape, count in _central_terms(n, k):
-                yield shape, count + 1 if shape == (2, 4, 4) else count
-
-        monkeypatch.setattr("polycenter.cli._central_terms", off_by_one)
+        census_off_by_one(monkeypatch)
         assert run(["verify", "census", "10", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False and doc["cases"] == 2
@@ -541,6 +551,97 @@ class TestCensusCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+class TestVerdictBytes:
+    """The stdout of every verdict path, as text and as --json, pinned by sha256."""
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, patch, status, digests",
+        [
+            (
+                ["verify", "census", "10"],
+                None,
+                0,
+                (
+                    "32d8cdf8c0cdc21d5a0e923ceb4739fdf01c60c62ca92e773ffe6f3aa71108e1",
+                    "754412ba1e8ea225627bcee3acaffd16d615c1fff59b5cd6f8f50baad94537e5",
+                ),
+            ),
+            (
+                ["verify", "census", "12", "--k", "4"],
+                None,
+                0,
+                (
+                    "9a9844fae52b05b5c24c8890e68de8952923da59cf5a6c4f4152b02a2c18eea6",
+                    "c2c6974589c562bf3855ffeb30c4711feffa4211ba28402e1a34df74bd555517",
+                ),
+            ),
+            (
+                ["verify", "congruence", "--theorem", "odd", "--max", "4096"],
+                None,
+                0,
+                (
+                    "045b7fe29e8d61bfc0937449a6c129ca3c4da87f641eee77ed1e205ce31fc119",
+                    "f3fab703cd104672cc69d474ddb2020558df8f69bcb98d8c51ae44e5c64aef21",
+                ),
+            ),
+            (
+                ["verify", "congruence", "--theorem", "mod4", "--max", "4096"],
+                None,
+                0,
+                (
+                    "6f5b3694c5de7bc8bdf28312a9760bc6536bb67ae3dd85a869dd4f8c2789298b",
+                    "e7494137cc61377edb353c7fb27916c7a3ba199dc666c900d9a376414da01f83",
+                ),
+            ),
+            (
+                ["verify", "congruence", "--theorem", "modp", "--p", "7", "--max", "3000"],
+                None,
+                0,
+                (
+                    "120bb20c1ce71cc314c0916504c79c249b8a0750aea24b408731c650595dbe63",
+                    "6466f6aedc62b051f42394d68dc6c9c71c151994128845217174925139036e6b",
+                ),
+            ),
+            (
+                ["verify", "congruence", "--theorem", "kangp", "--p", "5", "--k", "4", "--max", "400"],
+                None,
+                0,
+                (
+                    "1e1d73e35e951a8bac3d80be87eb7c813646f42f106e1bbbc548cbff4b2d712c",
+                    "e0f7d5710b276d117a9c988fc5a333d71ac2e1ed852128f2e3644185b3ba53fc",
+                ),
+            ),
+            (
+                ["verify", "census", "10"],
+                census_off_by_one,
+                1,
+                (
+                    "404f62e23da734488617f90b7b18ae81e3fae8a4190b83543e78d7b01a6bdd6e",
+                    "cde3b8a0a22d9e435f9b7986ce062576498ea5089ff1b1f1c3ad3338fca5990d",
+                ),
+            ),
+            (
+                ["verify", "congruence", "--theorem", "odd", "--max", "100"],
+                odd_prediction_at_6,
+                1,
+                (
+                    "c1347c4913b1f83e3cf271b4a13f506b7c022c7a93f3b1a58f4b4f01bc982f9a",
+                    "ccc3df32e7d91a733d506176172e944dcde2c9fb2a54279028d7f3f53e8bc2d2",
+                ),
+            ),
+        ],
+        ids=["census-10", "census-12-k4", "odd-4096", "mod4-4096", "modp-7", "kangp-5-4", "census-fail", "odd-fail"],
+    )
+    def test_pinned_verdict(self, monkeypatch, capsys, argv, patch, status, digests, json_flag):
+        if patch is not None:
+            patch(monkeypatch)
+        assert run(argv + json_flag) == status
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digests[bool(json_flag)]
+
+
 class TestFixedVertexCommand:
     def test_all_routes_agree(self, capsys):
         assert run(["fixed-vertex", "6", "--brute", "--dyck"]) == 0
@@ -692,9 +793,9 @@ class TestInternalError:
         assert captured.err == "internal error: fuss_catalan(1, 2) has negative 2-adic valuation -1\n"
 
     def test_valuation_mismatch_in_residue_sweep_exits_3(self, monkeypatch, capsys):
-        # A Legendre count of 0 sends modp to step to its first index,
+        # A Legendre valuation of 0 sends modp to step to its first index,
         # where the stepped valuation of C(3) = 5 is 1.
-        monkeypatch.setattr("polycenter.congruences._legendre", lambda x, p: 0)
+        monkeypatch.setattr("polycenter.congruences._fuss_valuation", lambda m, k, p: 0)
         assert run(["verify", "congruence", "--theorem", "modp", "--p", "5", "--max", "20"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
