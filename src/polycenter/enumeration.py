@@ -9,7 +9,7 @@ diagonal cutting off more than k labels is the next region to fill.  A
 region of exactly k labels (j = 1) is one k-gon: its one cell adds no
 diagonal and is never central, so it is not visited.
 
-:func:`_classified` walks these choices depth-first on one explicit stack,
+:func:`_batches` walks these choices depth-first on one explicit stack,
 appending to one list of diagonals and truncating it to backtrack, so the
 first dissection comes after polynomial work and the stream stays lazy.  A
 per-call table holds one entry per interval, built on its first entry by
@@ -17,17 +17,22 @@ per-call table holds one entry per interval, built on its first entry by
 and :func:`model._central_of`, or, for a small interval, every completion of
 it, built once from its sides' entries.  A small interval's completions are
 side-less choices, one walk step each, and when it is the last interval
-pending they are appended to the diagonals so far in one pass, each object
-still yielded on its own.  Small means at most ``_REPLAY_LIMIT`` completions:
-the builder gives up past that bound, so no entry holds more completions
-than that, and the table is dropped when the generator ends.
+pending they are one batch: the diagonals so far with every completion.
+Small means at most ``_REPLAY_LIMIT`` completions: the builder gives up past
+that bound, so no entry holds more completions than that, and the table is
+dropped when the generator ends.
+
+The walk has two readers.  :func:`_classified` flattens the batches into
+one ``(diagonals, central)`` object at a time, for
+:func:`enumerate_kangulations`; :func:`_central_tally` counts each batch
+under its central components without building any object, for
+:func:`central_census` and :func:`count_vertex0_outside`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product, repeat
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .model import DIAMETER, Dissection, _central_of, contains_vertex
@@ -119,22 +124,31 @@ def _completions(interval, k: int, n: int, table: dict) -> tuple:
     return entry
 
 
-def _classified(n: int, k: int) -> Iterator:
-    """Every k-angulation of the n-gon as ``(diagonals, central)``, exactly once.
+#: The one completion of a region that is already complete, so that a single
+#: object is a batch like a replay.
+_ONE = ((),)
+
+
+def _batches(n: int, k: int) -> Iterator:
+    """Every k-angulation of the n-gon, as batches ``(diags, ds, cs, central)``.
 
     Empty stream when n fails the parity constraint n = 2 (mod k-2).
 
-    Depth-first on one explicit stack, one cell choice per step.  ``diags``
-    is the one list of diagonals chosen so far, and ``pending`` the intervals
-    still to fill, a cons stack ``((lo, hi), rest)`` that frames share.  A
-    frame ``(cells, i, pending, mark, central)`` resumes an interval at its
-    i-th cell: it restores ``pending``, truncates ``diags`` to ``mark`` and
-    restores the central component found so far.  An interval's last cell
-    pushes no frame.  Each interval's table entry comes from
+    Each batch is the objects ``diags + d`` for ``d`` in ``ds``, with central
+    components ``cs``, or ``central`` for each when ``cs`` is None.  ``diags``
+    is the walk's own list of the diagonals so far, valid until the next
+    batch; a single object is the batch of one empty completion.
+
+    Depth-first on one explicit stack, one cell choice per step.  ``pending``
+    holds the intervals still to fill, a cons stack ``((lo, hi), rest)`` that
+    frames share.  A frame ``(cells, i, pending, mark, central)`` resumes an
+    interval at its i-th cell: it restores ``pending``, truncates ``diags`` to
+    ``mark`` and restores the central component found so far.  An interval's
+    last cell pushes no frame.  Each interval's table entry comes from
     :func:`_completions` on its first entry and is reused until the call
-    ends.  A small interval that is the last one pending is not entered:
-    its completions are appended to the diagonals so far in one pass, when
-    each gives the object exactly one central component.
+    ends.  A small interval that is the last one pending is not entered: its
+    completions are one batch, when each gives the object exactly one central
+    component.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -168,16 +182,29 @@ def _classified(n: int, k: int) -> Iterator:
                 i = 0
                 mark = len(diags)
                 continue
-            base = tuple(diags)
-            yield from zip(map(base.__add__, ds), cs or repeat(central))
+            yield diags, ds, cs, central
         elif central is None:
             raise AssertionError(f"no central component in {tuple(diags)}")
         else:
-            yield tuple(diags), central
+            yield diags, _ONE, None, central
         if not stack:
             return
         cells, i, pending, mark, central = stack.pop()
         del diags[mark:]
+
+
+def _classified(n: int, k: int) -> Iterator:
+    """Every k-angulation of the n-gon as ``(diagonals, central)``, exactly once.
+
+    Empty stream when n fails the parity constraint n = 2 (mod k-2).
+
+    The reader of :func:`_batches` that needs each object: it flattens every
+    batch, in walk order, into the diagonals so far plus one completion,
+    with that completion's central component.
+    """
+    for diags, ds, cs, central in _batches(n, k):
+        base = tuple(diags)
+        yield from zip(map(base.__add__, ds), cs or repeat(central))
 
 
 def enumerate_kangulations(n: int, k: int = 3) -> Iterator[Dissection]:
@@ -203,8 +230,19 @@ def _key_order(key):
 
 
 def _central_tally(n: int, k: int) -> Counter:
-    """Number of k-angulations of the n-gon per central component."""
-    return Counter(map(itemgetter(1), _classified(n, k)))
+    """Number of k-angulations of the n-gon per central component.
+
+    Reads :func:`_batches` directly: a batch under one central component
+    adds its size to that key, and one that carries its own central
+    components counts them, so no object's diagonals are built.
+    """
+    tally: Counter = Counter()
+    for _, ds, cs, central in _batches(n, k):
+        if cs is None:
+            tally[central] += len(ds)
+        else:
+            tally.update(cs)
+    return tally
 
 
 def central_census(n: int, k: int = 3) -> list:

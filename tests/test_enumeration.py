@@ -1,9 +1,11 @@
 """Brute-force generators and the central-component census."""
 
 import hashlib
+import json
 import time
-from collections import deque
+from collections import Counter, deque
 from itertools import chain, combinations, product, repeat, takewhile
+from operator import itemgetter
 
 import pytest
 
@@ -14,12 +16,21 @@ from polycenter import (
     count_vertex0_outside,
     catalan,
     enumerate_kangulations,
+    fixed_vertex_outside,
     fuss_catalan,
     kangulation_count,
     placement_count,
 )
 from polycenter import enumeration
-from polycenter.enumeration import _REPLAY_LIMIT, _cells, _classified, _completions
+from polycenter.enumeration import (
+    _ONE,
+    _REPLAY_LIMIT,
+    _batches,
+    _cells,
+    _central_tally,
+    _classified,
+    _completions,
+)
 from polycenter.model import CentralComponent, Dissection, central_component, face_arcs
 
 
@@ -230,6 +241,15 @@ class TestReplay:
 
         monkeypatch.setattr(enumeration, "_central_of", extra)
 
+    @staticmethod
+    def _census_raises_the_same(n, k):
+        """The census, which tallies batches without ``_classified``, fails alike."""
+        with pytest.raises(AssertionError) as walk:
+            deque(_classified(n, k), 0)
+        with pytest.raises(AssertionError) as census:
+            central_census(n, k)
+        assert str(census.value) == str(walk.value)
+
     def test_extra_central_in_a_small_region_is_caught(self, monkeypatch):
         """The region's completions all report a central cell, so the walk meets two."""
         n, k, region = 12, 3, (7, 11)
@@ -238,6 +258,7 @@ class TestReplay:
         assert ds is not None and all(cs)
         got = self._until_raised(n, k, "two central components")
         assert got == list(takewhile(lambda item: region not in item[0], _reference_classified(n, k)))
+        self._census_raises_the_same(n, k)
 
     def test_two_centrals_inside_a_small_region_are_caught(self, monkeypatch):
         """The builder gives up on the region, and the walk reports where it always did."""
@@ -251,6 +272,7 @@ class TestReplay:
             return region not in diags or (central.vertices[0], central.vertices[-1]) == region
 
         assert got == list(takewhile(one_central, _reference_classified(n, k)))
+        self._census_raises_the_same(n, k)
 
     def test_a_small_region_missing_some_centrals_is_caught(self, monkeypatch):
         n, k, lost = 8, 3, (1, 3, 6)
@@ -259,6 +281,7 @@ class TestReplay:
         assert _completions((0, 6), k, n, {})[1] is None
         got = self._until_raised(n, k, "no central component")
         assert got == list(takewhile(lambda item: item[1].vertices != lost, _reference_classified(n, k)))
+        self._census_raises_the_same(n, k)
 
     def test_missing_central_in_a_small_region_is_caught(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_central_of", lambda cell, n: None)
@@ -266,6 +289,32 @@ class TestReplay:
         assert ds is not None and cs is None
         with pytest.raises(AssertionError, match="no central component"):
             deque(_classified(12, 3), 0)
+        self._census_raises_the_same(12, 3)
+
+
+#: Sizes that reach every kind of batch: replays that carry their own central
+#: components (the first four), replays under a central component already
+#: found (all but (42, 22)), and single objects (the last three).
+_BATCH_CASES = [(8, 3), (10, 3), (12, 4), (14, 4), (14, 3), (20, 5), (26, 6), (42, 22)]
+
+
+def _batch_kind(batch):
+    _, ds, cs, _ = batch
+    if ds is _ONE:
+        return "single"
+    return "replay" if cs is not None else "replay under central"
+
+
+class TestBatchTally:
+    """The census counts the walk's batches whole; the count is the stream's."""
+
+    @pytest.mark.parametrize("n,k", _BATCH_CASES)
+    def test_tally_equals_the_stream(self, n, k):
+        assert _central_tally(n, k) == Counter(map(itemgetter(1), _classified(n, k)))
+
+    def test_every_batch_kind_is_reached(self):
+        kinds = {_batch_kind(batch) for n, k in _BATCH_CASES for batch in _batches(n, k)}
+        assert kinds == {"single", "replay", "replay under central"}
 
 
 _FORCED_CASES = [(n, k) for k in range(3, 13) for n in range(k, 3 * k + 1) if (n - 2) % (k - 2) == 0]
@@ -340,6 +389,26 @@ class TestCensus:
         assert doc["n"] == 6 and doc["k"] == 3
         assert doc["entries"][0] == {"shape": "diameter", "count": "12"}
         assert doc["entries"][1] == {"shape": [2, 2, 2], "count": "2"}
+
+
+#: sha256 of ``json.dumps(census_to_json(n, k, central_census(n, k)),
+#: sort_keys=True)``, recorded before the census tallied whole batches.
+_CENSUS_SHA256 = {
+    (16, 3): "12620cddddb41b23bf488103202cadb02bc9821a16159220162796d90748dc0e",
+    (18, 4): "3dc812b932d96024c6945eda5093e6ec8eeb93c66d5d7cafa7e5591bdcedb956",
+    (42, 22): "eb7062a45be1c140a9ccf7890f9fed477aed1e96434d23de64a01be24851ee84",
+    (62, 32): "7f259edabfac080ef77fe7551234722c6e6aa0aef78e71e2e316dfbed3dc9483",
+}
+
+
+class TestCensusPinned:
+    @pytest.mark.parametrize("n,k", sorted(_CENSUS_SHA256))
+    def test_census_bytes(self, n, k):
+        doc = json.dumps(census_to_json(n, k, central_census(n, k)), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == _CENSUS_SHA256[n, k]
+
+    def test_vertex0_count_at_16(self):
+        assert count_vertex0_outside(16) == fixed_vertex_outside(16) == 2265003
 
 
 class TestVertex0Outside:
