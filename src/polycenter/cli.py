@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Every negative or too-large value is refused in one place, :func:`_admit`,
+before any work and with exit 2.  Each limit is a constant below, with the
+timings that sized it.
+
 Exit codes: 0 = success / everything verified, 1 = a counterexample or
 identity failure was found (or an --expect assertion missed), 2 = usage
 error (unknown flags, malformed diagonal lists, invalid parameters),
@@ -13,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from .congruences import Theorem, VerificationReport, _first_mismatch, verify_congruence
@@ -87,6 +92,18 @@ RENDER_LIMIT = 250_000
 #: fuss at the limit end in 4 to 18 s.
 COUNT_LIMIT = 425_000
 
+#: Most units of work that one verify recursion run may do.  Its last case,
+#: the polygon of Fuss-Catalan index M, walks about T sorted k-tuples of
+#: indices and multiplies bigints of about B bits, so the run costs about
+#: T * B * cases units (see _recursion_max).  Every run of 1 s or more took
+#: 0.8 to 2.3e-10 s a unit on CPython 3.11 (central --max 1000: 4.1e10
+#: units, 5.8 s; kang --k 10 --max 800: 2.2e11 units, 27.5 s), so a run at
+#: the limit ends within about 30 s.  The largest admitted --max is 1304
+#: for central (16.5 s), 414 for quad (9.4 s) and 688 for kang --k 5
+#: (8.9 s); at k from 4 to 200,000 a run at the limit took 8.9 to 27.6 s,
+#: the slowest at k = 50.
+RECURSION_LIMIT = 120_000_000_000
+
 
 def _finish(value, args) -> int:
     print(value)
@@ -101,19 +118,24 @@ def _check_expect(value, args) -> int:
     return 0
 
 
-def _n(args) -> int:
-    """args.n, rejected when negative: the library maps negative n to 0 for
-    the recursions' sake, but on the command line it is a usage error."""
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
-    return args.n
+def _admit(name: str, value: int, limit: int | None = None, *, negative_ok: bool = False) -> int:
+    """value, or a usage error (exit 2) before any work: the one place that writes a refusal.
+
+    A negative value is refused unless negative_ok, which leaves it to the
+    library's own, more precise message (n >= 3, n >= k); a value above
+    limit, when there is one, is refused with the limit.
+    """
+    if value < 0 and not negative_ok:
+        raise ValueError(f"{name} must be >= 0")
+    if limit is not None and value > limit:
+        raise ValueError(f"{name}={value} is above the limit of {limit}")
+    return value
 
 
-def _check_count(n: int, k: int) -> None:
-    """Refuse, before any work, a kangulation_count(n, k) of more than COUNT_LIMIT digits.
+def _micro_digits(m: int, s: int) -> int:
+    """The decimal digits of F(m, s), s >= 2, estimated from above in millionths of a digit.
 
-    The count is the Fuss-Catalan number F(m, s) = binomial(sm, m)/((s-1)m + 1)
-    with s = k-1 when n = (k-2)m + 2, else 0.  log10 binomial(sm, m) is below
+    F(m, s) = binomial(sm, m)/((s-1)m + 1).  log10 binomial(sm, m) is below
     m times the rate s log10 s - (s-1) log10 (s-1), its entropy bound, and
     within a few digits of it, so log10 F(m, s) is estimated from above as
     m * rate - log10((s-1)m + 1).  The rate is log10 s + t log10 (1 + 1/t)
@@ -122,44 +144,50 @@ def _check_count(n: int, k: int) -> None:
     digit, rounded up, so an input of any size is estimated without a float
     overflow.
     """
+    t = min(s - 1, 2**52)
+    rate = math.log10(s) + t * math.log1p(1 / t) / math.log(10)
+    return m * math.ceil(rate * 10**6) - math.floor(math.log10((s - 1) * m + 1) * 10**6)
+
+
+def _check_count(n: int, k: int) -> None:
+    """Refuse, before any work, a kangulation_count(n, k) of more than COUNT_LIMIT digits.
+
+    The count is the Fuss-Catalan number F(m, k-1) when n = (k-2)m + 2,
+    else 0; its digits are estimated by :func:`_micro_digits`.
+    """
     if k < 3:
         return  # the count rejects k itself
     m = _fuss_index(n, k)
     if m is None:
         return
-    s = k - 1
-    t = min(s - 1, 2**52)
-    rate = math.log10(s) + t * math.log1p(1 / t) / math.log(10)
-    micro = m * math.ceil(rate * 10**6) - math.floor(math.log10((s - 1) * m + 1) * 10**6)
+    micro = _micro_digits(m, k - 1)
     if micro > COUNT_LIMIT * 10**6:
         digits = -(-micro // 10**6)
         raise ValueError(f"the count has about {digits} digits, which is above the limit of {COUNT_LIMIT}")
 
 
 def _cmd_catalan(args) -> int:
-    n = _n(args)
-    if args.mod is None:
-        _check_count(n + 2, 3)
-        return _finish(catalan(n), args)
-    if n > CONGRUENCE_LIMIT:
-        raise ValueError(f"n={n} is above the limit of {CONGRUENCE_LIMIT}")
-    return _finish(catalan_mod(n, args.mod), args)
+    if args.mod is not None:
+        return _finish(catalan_mod(_admit("n", args.n, CONGRUENCE_LIMIT), args.mod), args)
+    n = _admit("n", args.n)
+    _check_count(n + 2, 3)
+    return _finish(catalan(n), args)
 
 
 def _cmd_fuss(args) -> int:
-    n = _n(args)
+    n = _admit("n", args.n)
     _check_count((args.k - 1) * n + 2, args.k + 1)
     return _finish(fuss_catalan(n, args.k), args)
 
 
 def _cmd_kang(args) -> int:
-    n = _n(args)
+    n = _admit("n", args.n)
     _check_count(n, args.k)
     return _finish(kangulation_count(n, args.k), args)
 
 
 def _cmd_quad(args) -> int:
-    n = _n(args)
+    n = _admit("n", args.n)
     _check_count(2 * n + 2, 4)
     return _finish(quadrangulation_count(n), args)
 
@@ -181,8 +209,7 @@ def _preflight(n: int, k: int) -> None:
     m = _fuss_index(n, k)
     if m is not None and fuss_catalan(min(m, ENUMERATION_LIMIT.bit_length() + 1), k - 1) > ENUMERATION_LIMIT:
         raise ValueError(f"n={n}, k={k} would enumerate more than {ENUMERATION_LIMIT} dissections")
-    if n > ENUMERATION_N_LIMIT:
-        raise ValueError(f"n={n} is above the limit of {ENUMERATION_N_LIMIT}")
+    _admit("n", n, ENUMERATION_N_LIMIT, negative_ok=True)
 
 
 def _shape_text(shape) -> str:
@@ -195,17 +222,49 @@ def _print_report(report: VerificationReport, args, text: str) -> int:
     return 0 if report.passed else 1
 
 
+def _recursion_max(kind: str, k: int) -> int:
+    """The largest --max that verify recursion admits for this kind and cell size k.
+
+    The case of the polygon with Fuss-Catalan index M walks T sorted
+    k-tuples of indices 0 <= j <= (M-1)//2 summing to M - 1 and multiplies
+    bigints of about B bits, the bit length of F(M, k-1) as estimated by
+    :func:`_micro_digits`, so a run up to M costs about T * B * cases
+    units.  The first M above RECURSION_LIMIT is refused, with every --max
+    that reaches it.  At most one index exceeds (M-1)//2, so T is the
+    partitions of M - 1 into at most k parts less, for each value of that
+    one index, the partitions of the rest into at most k-1 parts.  Both
+    counts are tabulated for x <= upto, and upto doubles until the refused
+    M is found, below 2,000 at every k.
+    """
+    first = 2 if kind == "kang" else 1  # kang_recursion_rhs needs n > k
+    upto = 64
+    while True:
+        parts = [1] + [0] * upto  # parts[x]: partitions of x into parts no larger than size
+        for size in range(1, min(k - 1, upto) + 1):
+            for x in range(size, upto + 1):
+                parts[x] += parts[x - size]
+        below = [0, *accumulate(parts)]  # below[x]: partitions of less than x into at most k-1 parts
+        if k <= upto:
+            for x in range(k, upto + 1):
+                parts[x] += parts[x - k]
+        for m in range(first, upto + 2):
+            t = m - 1
+            bits = math.ceil(_micro_digits(m, k - 1) * math.log2(10) / 10**6)
+            if (parts[t] - below[t - t // 2]) * bits * (m - first + 1) > RECURSION_LIMIT:
+                return m - 1 if kind == "quad" else (k - 2) * m + 1
+        upto *= 2
+
+
 def _verify_recursion(args) -> int:
-    if args.max < 0:
-        raise ValueError("max must be >= 0")
+    k = {"central": 3, "quad": 4}.get(args.kind, args.k)
+    _admit("max", args.max, _recursion_max(args.kind, k) if k >= 3 else None)
+    if k < 3:
+        raise ValueError("k must be >= 3")
     if args.kind == "central":
         pairs = ((n, central_recursion_rhs(n), catalan(n - 2)) for n in range(3, args.max + 1))
     elif args.kind == "quad":
         pairs = ((n, quad_recursion_rhs(n), quadrangulation_count(n)) for n in range(1, args.max + 1))
     else:
-        k = args.k
-        if k < 3:
-            raise ValueError("k must be >= 3")
         pairs = (
             (n, kang_recursion_rhs(n, k), kangulation_count(n, k))
             for n in range(k + (k - 2), args.max + 1, k - 2)
@@ -222,8 +281,7 @@ def _verify_recursion(args) -> int:
 
 
 def _verify_congruence(args) -> int:
-    if args.max > CONGRUENCE_LIMIT:
-        raise ValueError(f"max={args.max} is above the limit of {CONGRUENCE_LIMIT}")
+    _admit("max", args.max, CONGRUENCE_LIMIT)
     report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k)
     if report.passed:
         return _print_report(report, args, f"{args.theorem}: verified up to n={args.max}")
@@ -269,8 +327,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_fixed_vertex(args) -> int:
-    if args.n > FIXED_VERTEX_LIMIT:
-        raise ValueError(f"n={args.n} is above the limit of {FIXED_VERTEX_LIMIT}")
+    _admit("n", args.n, FIXED_VERTEX_LIMIT, negative_ok=True)
     if args.brute:
         _preflight(args.n, 3)
     closed = fixed_vertex_outside(args.n)
@@ -288,8 +345,7 @@ def _cmd_fixed_vertex(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.n > RENDER_LIMIT:
-        raise ValueError(f"n={args.n} is above the limit of {RENDER_LIMIT}")
+    _admit("n", args.n, RENDER_LIMIT, negative_ok=True)
     diags = parse_diagonals(args.diagonals)
     d = Dissection(args.n, diags, args.k)
     svg = render_svg(d, highlight_central=args.highlight_central)

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
 from itertools import count
-from math import comb
+from math import ceil, comb, log2
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from polycenter.cli import (
     _preflight,
     run,
 )
-from polycenter.recursions import _central_terms
+from polycenter.recursions import _central, _central_terms, bounded_partitions
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -197,9 +198,18 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == "error: k must be >= 3\n"
 
-    @pytest.mark.parametrize("kind", ["central", "quad", "kang"])
-    def test_recursion_rejects_negative_max(self, capsys, kind):
-        assert run(["verify", "recursion", "--kind", kind, "--max", "-5"]) == 2
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["recursion", "--kind", "central"],
+            ["recursion", "--kind", "quad"],
+            ["recursion", "--kind", "kang"],
+            ["congruence", "--theorem", "odd"],
+        ],
+        ids=["central", "quad", "kang", "congruence"],
+    )
+    def test_recursion_rejects_negative_max(self, capsys, command):
+        assert run(["verify", *command, "--max", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: max must be >= 0\n"
@@ -771,6 +781,142 @@ class TestRenderLimit:
         assert done.returncode == 2
         assert f"has {RENDER_LIMIT} vertices; not a dissection into 3-gons" in done.stderr
         assert len(done.stderr.encode()) < 1024
+
+
+class Admitted(Exception):
+    """Raised by a command's first work function once every check has passed."""
+
+
+def _admitted(*args, **kwargs):
+    raise Admitted
+
+
+# One row per limit: argv at the limit, argv just above it, the refusal just
+# above it, and the first function that does the command's work.
+LIMITS = {
+    "enumeration": (
+        ["census", "16"],
+        ["census", "17"],
+        f"n=17, k=3 would enumerate more than {ENUMERATION_LIMIT} dissections",
+        "central_census",
+    ),
+    "enumeration-n": (
+        ["verify", "census", str(ENUMERATION_N_LIMIT), "--k", str(ENUMERATION_N_LIMIT)],
+        ["verify", "census", str(ENUMERATION_N_LIMIT + 1), "--k", str(ENUMERATION_N_LIMIT + 1)],
+        f"n={ENUMERATION_N_LIMIT + 1} is above the limit of {ENUMERATION_N_LIMIT}",
+        "_central_terms",
+    ),
+    "congruence": (
+        ["verify", "congruence", "--theorem", "odd", "--max", str(CONGRUENCE_LIMIT)],
+        ["verify", "congruence", "--theorem", "odd", "--max", str(CONGRUENCE_LIMIT + 1)],
+        f"max={CONGRUENCE_LIMIT + 1} is above the limit of {CONGRUENCE_LIMIT}",
+        "verify_congruence",
+    ),
+    "congruence-mod": (
+        ["catalan", str(CONGRUENCE_LIMIT), "--mod", "7"],
+        ["catalan", str(CONGRUENCE_LIMIT + 1), "--mod", "7"],
+        f"n={CONGRUENCE_LIMIT + 1} is above the limit of {CONGRUENCE_LIMIT}",
+        "catalan_mod",
+    ),
+    "fixed-vertex": (
+        ["fixed-vertex", str(FIXED_VERTEX_LIMIT), "--dyck"],
+        ["fixed-vertex", str(FIXED_VERTEX_LIMIT + 1), "--dyck"],
+        f"n={FIXED_VERTEX_LIMIT + 1} is above the limit of {FIXED_VERTEX_LIMIT}",
+        "fixed_vertex_outside",
+    ),
+    "render": (
+        ["render", str(RENDER_LIMIT), "--out", os.devnull],
+        ["render", str(RENDER_LIMIT + 1), "--out", os.devnull],
+        f"n={RENDER_LIMIT + 1} is above the limit of {RENDER_LIMIT}",
+        "parse_diagonals",
+    ),
+    "count": (
+        ["catalan", "705919"],
+        ["catalan", "705920"],
+        f"the count has about 425001 digits, which is above the limit of {COUNT_LIMIT}",
+        "catalan",
+    ),
+    "recursion-central": (
+        ["verify", "recursion", "--kind", "central", "--max", "1304"],
+        ["verify", "recursion", "--kind", "central", "--max", "1305"],
+        "max=1305 is above the limit of 1304",
+        "central_recursion_rhs",
+    ),
+    "recursion-quad": (
+        ["verify", "recursion", "--kind", "quad", "--max", "414"],
+        ["verify", "recursion", "--kind", "quad", "--max", "415"],
+        "max=415 is above the limit of 414",
+        "quad_recursion_rhs",
+    ),
+    "recursion-kang": (
+        ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "688"],
+        ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "689"],
+        "max=689 is above the limit of 688",
+        "kang_recursion_rhs",
+    ),
+}
+
+
+class TestLimits:
+    @pytest.mark.parametrize("at,above,message,work", LIMITS.values(), ids=LIMITS.keys())
+    def test_refused_above_and_admitted_at_the_limit(self, monkeypatch, at, above, message, work):
+        # A subprocess with a timeout fails, rather than hangs, if the
+        # refusal is lost and the work starts.
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *above], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+        # At the limit every check passes and the work begins.
+        monkeypatch.setattr(cli, work, _admitted)
+        with pytest.raises(Admitted):
+            run(at)
+
+
+class TestRecursionLimit:
+    @pytest.mark.parametrize(
+        "command,limit",
+        [
+            (["--kind", "central"], 1304),
+            (["--kind", "quad"], 414),
+            (["--kind", "kang", "--k", "3"], 1304),
+            (["--kind", "kang", "--k", "5"], 688),
+            (["--kind", "kang", "--k", "10000000000"], 619999999877),
+        ],
+    )
+    def test_refused_before_any_term(self, command, limit):
+        argv = ["verify", "recursion", *command, "--max", str(10**18)]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: max=1000000000000000000 is above the limit of {limit}\n"
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 100, 2000, 10**10, 10**100])
+    def test_estimate_is_fast(self, k):
+        start = time.perf_counter()
+        cli._recursion_max("kang", k)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "kind,k", [("central", 3), ("quad", 4), ("kang", 3), ("kang", 5), ("kang", 12), ("kang", 100)]
+    )
+    @pytest.mark.parametrize("budget", [10**4, 10**7])
+    def test_limit_counts_the_walked_tuples(self, monkeypatch, kind, k, budget):
+        # The first refused index, with T counted tuple by tuple over the
+        # indices below the diameter that the central walk itself reads.
+        monkeypatch.setattr(cli, "RECURSION_LIMIT", budget)
+        first = 2 if kind == "kang" else 1
+        for m in count(first):
+            top = _central((k - 2) * m + 2, k)[3]
+            tuples = sum(1 for _ in bounded_partitions(m - 1, k, 0, top))
+            bits = ceil(cli._micro_digits(m, k - 1) * log2(10) / 10**6)
+            if tuples * bits * (m - first + 1) > budget:
+                break
+        assert cli._recursion_max(kind, k) == (m - 1 if kind == "quad" else (k - 2) * m + 1)
 
 
 class TestInternalError:
