@@ -1,5 +1,7 @@
 """Command-line front end.
 
+Commands work in Fuss-Catalan index space: each count and each recursion
+case is F(m, s) of one index m, found once from the command's arguments.
 Every negative or too-large value is refused in one place, :func:`_admit`,
 before any work and with exit 2.  Each limit is a constant below, with the
 timings that sized it.
@@ -23,22 +25,8 @@ from pathlib import Path
 from .congruences import Theorem, VerificationReport, _first_mismatch, verify_congruence
 from .enumeration import _key_order, _shape_json, central_census, census_to_json, count_vertex0_outside
 from .model import DIAMETER, Dissection, parse_diagonals
-from .recursions import (
-    _central_terms,
-    central_recursion_rhs,
-    dyck_formula,
-    fixed_vertex_outside,
-    kang_recursion_rhs,
-    quad_recursion_rhs,
-)
-from .sequences import (
-    _fuss_index,
-    catalan,
-    catalan_mod,
-    fuss_catalan,
-    kangulation_count,
-    quadrangulation_count,
-)
+from .recursions import _central_sum, _central_terms, dyck_formula, fixed_vertex_outside
+from .sequences import _fuss_index, catalan_mod, fuss_catalan
 from .svg import render_svg
 
 #: Most dissections a brute-force command may enumerate.  The count is read
@@ -149,47 +137,45 @@ def _micro_digits(m: int, s: int) -> int:
     return m * math.ceil(rate * 10**6) - math.floor(math.log10((s - 1) * m + 1) * 10**6)
 
 
-def _check_count(n: int, k: int) -> None:
-    """Refuse, before any work, a kangulation_count(n, k) of more than COUNT_LIMIT digits.
+def _check_count(m: int, s: int) -> None:
+    """Refuse, before any work, a Fuss-Catalan number F(m, s) of more than COUNT_LIMIT digits.
 
-    The count is the Fuss-Catalan number F(m, k-1) when n = (k-2)m + 2,
-    else 0; its digits are estimated by :func:`_micro_digits`.
+    Its digits are estimated by :func:`_micro_digits`.
     """
-    if k < 3:
-        return  # the count rejects k itself
-    m = _fuss_index(n, k)
-    if m is None:
-        return
-    micro = _micro_digits(m, k - 1)
+    if s < 2:
+        return  # fuss_catalan rejects s itself
+    micro = _micro_digits(m, s)
     if micro > COUNT_LIMIT * 10**6:
         digits = -(-micro // 10**6)
         raise ValueError(f"the count has about {digits} digits, which is above the limit of {COUNT_LIMIT}")
 
 
+def _count(m: int, s: int, args) -> int:
+    _check_count(m, s)
+    return _finish(fuss_catalan(m, s), args)
+
+
 def _cmd_catalan(args) -> int:
     if args.mod is not None:
         return _finish(catalan_mod(_admit("n", args.n, CONGRUENCE_LIMIT), args.mod), args)
-    n = _admit("n", args.n)
-    _check_count(n + 2, 3)
-    return _finish(catalan(n), args)
+    return _count(_admit("n", args.n), 2, args)
 
 
 def _cmd_fuss(args) -> int:
-    n = _admit("n", args.n)
-    _check_count((args.k - 1) * n + 2, args.k + 1)
-    return _finish(fuss_catalan(n, args.k), args)
+    return _count(_admit("n", args.n), args.k, args)
 
 
 def _cmd_kang(args) -> int:
+    """F(m, k-1) k-angulations of the n-gon when n = (k-2)m + 2, else none."""
     n = _admit("n", args.n)
-    _check_count(n, args.k)
-    return _finish(kangulation_count(n, args.k), args)
+    if args.k < 3:
+        raise ValueError("k must be >= 3")
+    m = _fuss_index(n, args.k)
+    return _finish(0, args) if m is None else _count(m, args.k - 1, args)
 
 
 def _cmd_quad(args) -> int:
-    n = _admit("n", args.n)
-    _check_count(2 * n + 2, 4)
-    return _finish(quadrangulation_count(n), args)
+    return _count(_admit("n", args.n), 3, args)
 
 
 def _preflight(n: int, k: int) -> None:
@@ -222,21 +208,20 @@ def _print_report(report: VerificationReport, args, text: str) -> int:
     return 0 if report.passed else 1
 
 
-def _recursion_max(kind: str, k: int) -> int:
-    """The largest --max that verify recursion admits for this kind and cell size k.
+def _recursion_max(k: int, first: int) -> int:
+    """The first Fuss-Catalan index that verify recursion refuses at cell size k, its cases counted from first.
 
     The case of the polygon with Fuss-Catalan index M walks T sorted
     k-tuples of indices 0 <= j <= (M-1)//2 summing to M - 1 and multiplies
     bigints of about B bits, the bit length of F(M, k-1) as estimated by
     :func:`_micro_digits`, so a run up to M costs about T * B * cases
-    units.  The first M above RECURSION_LIMIT is refused, with every --max
-    that reaches it.  At most one index exceeds (M-1)//2, so T is the
-    partitions of M - 1 into at most k parts less, for each value of that
-    one index, the partitions of the rest into at most k-1 parts.  Both
-    counts are tabulated for x <= upto, and upto doubles until the refused
-    M is found, below 2,000 at every k.
+    units.  The first M above RECURSION_LIMIT is returned, and every --max
+    that reaches its case is refused.  At most one index exceeds (M-1)//2,
+    so T is the partitions of M - 1 into at most k parts less, for each
+    value of that one index, the partitions of the rest into at most k-1
+    parts.  Both counts are tabulated for x <= upto, and upto doubles until
+    the refused M is found, below 2,000 at every k.
     """
-    first = 2 if kind == "kang" else 1  # kang_recursion_rhs needs n > k
     upto = 64
     while True:
         parts = [1] + [0] * upto  # parts[x]: partitions of x into parts no larger than size
@@ -251,32 +236,31 @@ def _recursion_max(kind: str, k: int) -> int:
             t = m - 1
             bits = math.ceil(_micro_digits(m, k - 1) * math.log2(10) / 10**6)
             if (parts[t] - below[t - t // 2]) * bits * (m - first + 1) > RECURSION_LIMIT:
-                return m - 1 if kind == "quad" else (k - 2) * m + 1
+                return m
         upto *= 2
 
 
 def _verify_recursion(args) -> int:
+    """Check the central sum of the polygon (k-2)m + 2 against F(m, k-1) for each index m.
+
+    The kang cases start at m = 2, where the polygon first exceeds one
+    cell, the others at m = 1.  Case m prints n = step * m + start: m itself
+    for quad, else the polygon.
+    """
     k = {"central": 3, "quad": 4}.get(args.kind, args.k)
-    _admit("max", args.max, _recursion_max(args.kind, k) if k >= 3 else None)
+    first = 2 if args.kind == "kang" else 1
+    step, start = (1, 0) if args.kind == "quad" else (k - 2, 2)
+    _admit("max", args.max, step * _recursion_max(k, first) + start - 1 if k >= 3 else None)
     if k < 3:
         raise ValueError("k must be >= 3")
-    if args.kind == "central":
-        pairs = ((n, central_recursion_rhs(n), catalan(n - 2)) for n in range(3, args.max + 1))
-    elif args.kind == "quad":
-        pairs = ((n, quad_recursion_rhs(n), quadrangulation_count(n)) for n in range(1, args.max + 1))
-    else:
-        pairs = (
-            (n, kang_recursion_rhs(n, k), kangulation_count(n, k))
-            for n in range(k + (k - 2), args.max + 1, k - 2)
-        )
-    checked = 0
-    for n, rhs, expected in pairs:
+    cases = range(first, (args.max - start) // step + 1)
+    for m in cases:
+        n, rhs, expected = step * m + start, _central_sum((k - 2) * m + 2, k), fuss_catalan(m, k - 1)
         if rhs != expected:
             print(f"n={n} FAIL: recursion gives {rhs}, expected {expected}")
             return 1
         print(f"n={n} OK")
-        checked += 1
-    print(f"verified {checked} cases")
+    print(f"verified {len(cases)} cases")
     return 0
 
 

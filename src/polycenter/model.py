@@ -178,11 +178,8 @@ def parse_diagonals(text: str) -> frozenset:
         return frozenset()
     diags = set()
     for item in text.split(","):
-        parts = item.strip().split("-")
-        if len(parts) != 2:
-            raise ValueError(f"malformed diagonal {item!r}; expected 'x-y'")
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = map(int, item.split("-"))
         except ValueError:
             raise ValueError(f"malformed diagonal {item!r}; expected 'x-y'") from None
         diags.add((min(x, y), max(x, y)))

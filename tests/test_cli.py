@@ -129,6 +129,22 @@ class TestUsageErrors:
         assert run(["render", "6", "--diagonals", "0-2,zz", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["kang", "5", "2"], "k must be >= 3"),
+            (["fuss", "3", "1"], "k must be >= 2"),
+            (["census", "3", "--k", "4"], "need n >= k, got n=3, k=4"),
+            (
+                ["verify", "congruence", "--theorem", "kangp", "--p", "5", "--k", "2", "--max", "10"],
+                "MODP_KANGULATION requires k >= 3",
+            ),
+        ],
+    )
+    def test_parameter_refused(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestVerifyCommands:
     def test_recursion_central(self, capsys):
@@ -139,7 +155,7 @@ class TestVerifyCommands:
     def test_recursion_failure_line(self, monkeypatch, capsys):
         from polycenter import catalan
 
-        monkeypatch.setattr("polycenter.cli.central_recursion_rhs", lambda n: catalan(n - 2) + (n == 6))
+        monkeypatch.setattr("polycenter.cli._central_sum", lambda n, k: catalan(n - 2) + (n == 6))
         assert run(["verify", "recursion", "--kind", "central", "--max", "20"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "n=3 OK\nn=4 OK\nn=5 OK\nn=6 FAIL: recursion gives 15, expected 14\n"
@@ -519,10 +535,10 @@ class TestCountLimit:
             digits = len(str(fuss_catalan(m, s)))
             if digits > limit + 1:
                 with pytest.raises(ValueError, match=f"above the limit of {limit}"):
-                    cli._check_count((s - 1) * m + 2, s + 1)
+                    cli._check_count(m, s)
                 break
             if digits < limit - 5:
-                cli._check_count((s - 1) * m + 2, s + 1)
+                cli._check_count(m, s)
 
 
 class TestCensusCommand:
@@ -834,25 +850,25 @@ LIMITS = {
         ["catalan", "705919"],
         ["catalan", "705920"],
         f"the count has about 425001 digits, which is above the limit of {COUNT_LIMIT}",
-        "catalan",
+        "fuss_catalan",
     ),
     "recursion-central": (
         ["verify", "recursion", "--kind", "central", "--max", "1304"],
         ["verify", "recursion", "--kind", "central", "--max", "1305"],
         "max=1305 is above the limit of 1304",
-        "central_recursion_rhs",
+        "_central_sum",
     ),
     "recursion-quad": (
         ["verify", "recursion", "--kind", "quad", "--max", "414"],
         ["verify", "recursion", "--kind", "quad", "--max", "415"],
         "max=415 is above the limit of 414",
-        "quad_recursion_rhs",
+        "_central_sum",
     ),
     "recursion-kang": (
         ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "688"],
         ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "689"],
         "max=689 is above the limit of 688",
-        "kang_recursion_rhs",
+        "_central_sum",
     ),
 }
 
@@ -898,7 +914,7 @@ class TestRecursionLimit:
     @pytest.mark.parametrize("k", [3, 4, 7, 100, 2000, 10**10, 10**100])
     def test_estimate_is_fast(self, k):
         start = time.perf_counter()
-        cli._recursion_max("kang", k)
+        cli._recursion_max(k, 2)
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
@@ -916,7 +932,7 @@ class TestRecursionLimit:
             bits = ceil(cli._micro_digits(m, k - 1) * log2(10) / 10**6)
             if tuples * bits * (m - first + 1) > budget:
                 break
-        assert cli._recursion_max(kind, k) == (m - 1 if kind == "quad" else (k - 2) * m + 1)
+        assert cli._recursion_max(k, first) == m
 
 
 class TestInternalError:

@@ -41,6 +41,22 @@ class TestPredictors:
             assert predict_mod4(n) == catalan_mod(n, 4)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: predict_mod2(-1), "n must be >= 0"),
+        (lambda: predict_mod4(-1), "n must be >= 0"),
+        (lambda: verify_congruence(Theorem.ODD_CHARACTERIZATION, -1), "max_n must be >= 0"),
+        (lambda: verify_congruence(Theorem.MODP_KANGULATION, 10, p=5, k=2), "MODP_KANGULATION requires k >= 3"),
+        (lambda: verify_congruence("odd", 10), "unknown theorem 'odd'"),
+    ],
+    ids=["mod2", "mod4", "max-n", "kangp-k", "not-a-theorem"],
+)
+def test_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def trial_division(p: int) -> bool:
     if p < 2:
         return False

@@ -401,6 +401,20 @@ _CENSUS_SHA256 = {
 }
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: central_census(5, 2), "k must be >= 3"),
+        (lambda: central_census(3, 4), "need n >= k, got n=3, k=4"),
+        (lambda: count_vertex0_outside(2), "n must be >= 3"),
+    ],
+    ids=["census-k", "census-n", "vertex0"],
+)
+def test_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestCensusPinned:
     @pytest.mark.parametrize("n,k", sorted(_CENSUS_SHA256))
     def test_census_bytes(self, n, k):

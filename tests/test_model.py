@@ -234,6 +234,8 @@ class TestCentralComponent:
         cell = central_component(Dissection(6, {(0, 2), (2, 4), (0, 4)}))
         assert contains_vertex(cell, 4)
         assert not contains_vertex(cell, 1)
+        with pytest.raises(ValueError, match="^vertex 6 out of range for n=6$"):
+            contains_vertex(cell, cell.n)
 
     def test_vertex_membership_count(self):
         for n in (8, 9, 10):

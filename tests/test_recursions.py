@@ -243,6 +243,25 @@ class TestKangRecursion:
             kang_recursion_rhs(7, 4)  # parity violation
         with pytest.raises(ValueError):
             kang_recursion_rhs(3, 3)  # single-cell base case excluded
+        with pytest.raises(ValueError, match="k must be >= 3"):
+            kang_recursion_rhs(10, 2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: central_recursion_rhs(2), "n must be >= 3"),
+        (lambda: quad_recursion_rhs(0), "n must be >= 1"),
+        (lambda: fixed_vertex_outside(2), "n must be >= 3"),
+        (lambda: fixed_vertex_outside_double_sum(2), "n must be >= 3"),
+        (lambda: dyck_formula(-1), "m must be >= 0"),
+        (lambda: dyck_midpoint_uu_bruteforce(0), "s must be >= 1"),
+    ],
+    ids=["central", "quad", "fixed-vertex", "double-sum", "dyck", "dyck-bruteforce"],
+)
+def test_refused_below_the_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestFixedVertex:

@@ -244,6 +244,16 @@ class TestBallot:
                     assert ballot_T(n, k) == 0
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: kangulation_count(5, 2), "k must be >= 3"), (lambda: ballot_T(-1, 0), "n must be >= 0")],
+    ids=["kangulation", "ballot"],
+)
+def test_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestCatalanMod:
     def test_examples(self):
         assert catalan_mod(7, 2) == 1
