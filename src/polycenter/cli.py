@@ -245,9 +245,13 @@ def _verify_recursion(args) -> int:
 
     The kang cases start at m = 2, where the polygon first exceeds one
     cell, the others at m = 1.  Case m prints n = step * m + start: m itself
-    for quad, else the polygon.
+    for quad, else the polygon.  Only kang takes --k, 3 when it is absent.
     """
-    k = {"central": 3, "quad": 4}.get(args.kind, args.k)
+    k = {"central": 3, "quad": 4}.get(args.kind, 3)
+    if args.k is not None:
+        if args.kind != "kang":
+            raise ValueError(f"--k is only for --kind kang; --kind {args.kind} has k = {k}")
+        k = args.k
     first = 2 if args.kind == "kang" else 1
     step, start = (1, 0) if args.kind == "quad" else (k - 2, 2)
     _admit("max", args.max, step * _recursion_max(k, first) + start - 1 if k >= 3 else None)
@@ -282,11 +286,13 @@ def _verify_census(args) -> int:
     expected = {shape: count for shape, count in _central_terms(n, k) if count}
     enumerated = {e.key: e.count for e in central_census(n, k)}
     shapes = sorted(expected.keys() | enumerated.keys(), key=_key_order)
-    cases = (
-        ({"shape": _shape_json(shape)}, str(expected.get(shape, 0)), str(enumerated.get(shape, 0)))
-        for shape in shapes
+    mismatch = _first_mismatch(
+        "shape",
+        map(_shape_json, shapes),
+        (str(expected.get(shape, 0)) for shape in shapes),
+        (str(enumerated.get(shape, 0)) for shape in shapes),
     )
-    report = VerificationReport(None, {"n": n, "k": k}, *_first_mismatch(cases))
+    report = VerificationReport(None, {"n": n, "k": k}, *mismatch)
     if report.passed:
         return _print_report(report, args, f"census n={n} k={k}: verified {report.cases} cases")
     counterexample = report.counterexample
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vr = vsub.add_parser("recursion", help="check a recursion against closed forms")
     vr.add_argument("--kind", choices=["central", "quad", "kang"], required=True)
-    vr.add_argument("--k", type=int, default=3, help="cell size for --kind kang")
+    vr.add_argument("--k", type=int, help="cell size for --kind kang (default 3)")
     vr.add_argument("--max", type=int, required=True)
     vr.set_defaults(func=_verify_recursion)
 

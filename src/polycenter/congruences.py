@@ -3,20 +3,24 @@
 Each verifier sweeps a parameter range, compares predicted against actual
 residues, and returns a machine-readable report carrying the number of
 indices compared and the first counterexample (in index order) if any.  The
-actual residues are computed exactly, never predicted: one sweep steps the
-Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratio``, which the exact
-prefix table also steps, in the form F(m) = p**v * num / den, with v the
-exact p-adic valuation and the p-free num and den kept mod p**e, so no
-value grows with the range.  Each side of the ratio is one binomial, which
-holds only a few factors of p, so stripping them costs a few divisions.
-The sparse mod-p sweeps first read v at each checked index from Legendre's
-formula (``sequences._fuss_valuation``) and step only to an index whose v
-is below e, which no passing run has.
+indices, the predicted residues and the actual ones are three parallel
+streams (a range, a map or a repeat, and a generator of bare residues), so
+a checked index builds no tuple or dict: only the first mismatch becomes
+one.  The actual residues are computed exactly, never predicted: one sweep
+steps the Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratio``, which
+the exact prefix table also steps, in the form F(m) = p**v * num / den,
+with v the exact p-adic valuation and the p-free num and den kept mod
+p**e, so no value grows with the range.  Each side of the ratio is one
+binomial, which holds only a few factors of p, so stripping them costs a
+few divisions.  The sparse mod-p sweeps first read v at each checked index
+from Legendre's formula (``sequences._fuss_valuation``) and step only to an
+index whose v is below e, which no passing run has.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .sequences import _fuss_valuation, _ratio
@@ -40,7 +44,7 @@ def predict_mod4(n: int) -> int:
     """C(n) mod 4 from the binary weight of n+1: weight 1 -> 1, weight 2 -> 2, else 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    weight = bin(n + 1).count("1")
+    weight = (n + 1).bit_count()
     if weight == 1:
         return 1
     if weight == 2:
@@ -109,18 +113,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _first_mismatch(cases) -> "tuple[dict | None, int]":
-    """cases yields (params, expected, actual); returns the first mismatch and the cases compared."""
+def _first_mismatch(name: str, values, expected, actual) -> "tuple[dict | None, int]":
+    """The first mismatch of three parallel streams and the cases compared.
+
+    The i-th case is the i-th item of each stream: the value it is named
+    by, under the key name, and its expected and actual results.  A case
+    becomes a dict only when it is the first mismatch,
+    {name: value, "expected": ..., "actual": ...}.  The streams end
+    together, or values ends first.
+    """
     compared = 0
-    for params, expected, actual in cases:
-        compared += 1
-        if expected != actual:
-            return {**params, "expected": expected, "actual": actual}, compared
+    for compared, (value, want, got) in enumerate(zip(values, expected, actual), 1):
+        if want != got:
+            return {name: value, "expected": want, "actual": got}, compared
     return None, compared
 
 
 def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
-    """(m, fuss_catalan(m, k) % p**e) for each m of the range ms, from one exact residue sweep.
+    """fuss_catalan(m, k) % p**e for each m of the increasing range ms, in order, from one exact sweep.
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
     num, den prime to p and reduced mod q = p**e.  Each step strips the
@@ -144,10 +154,10 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
         if target > m + 1:
             legendre = _fuss_valuation(target, k, p)
             if legendre >= e:
-                yield target, 0
+                yield 0
                 continue
-        for step in range(m, target):
-            top, bottom = _ratio(step, k)
+        while m < target:
+            top, bottom = _ratio(m, k)
             while top % p == 0:
                 top //= p
                 v += 1
@@ -156,14 +166,14 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
                 v -= 1
             num = num * top % q
             den = den * bottom % q
-        m = target
+            m += 1
         if v < 0:
             raise AssertionError(f"fuss_catalan({m}, {k}) has negative {p}-adic valuation {v}")
         if legendre is not None and v != legendre:
             raise AssertionError(
                 f"fuss_catalan({m}, {k}) has {p}-adic valuation {v} stepped but {legendre} by Legendre"
             )
-        yield m, 0 if v >= e else p**v * num * pow(den, -1, q) % q
+        yield 0 if v >= e else p**v * num * pow(den, -1, q) % q
 
 
 def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None) -> VerificationReport:
@@ -178,14 +188,14 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
     bounds = {"max_n": max_n}
     if theorem in (Theorem.ODD_CHARACTERIZATION, Theorem.MOD4_CLASSIFICATION):
         e, predict = (1, predict_mod2) if theorem is Theorem.ODD_CHARACTERIZATION else (2, predict_mod4)
-        residues = _fuss_catalan_residues(range(max_n + 1), 2, p=2, e=e)
-        cases = (({"n": n}, predict(n), r) for n, r in residues)
+        ns = range(max_n + 1)
+        expected, residues = map(predict, ns), _fuss_catalan_residues(ns, 2, p=2, e=e)
     elif theorem is Theorem.MODP_CATALAN:
         if p is None or p < 5 or not is_prime(p):
             raise ValueError("MODP_CATALAN requires a prime p >= 5")
         bounds["p"] = p
-        residues = _fuss_catalan_residues(range(p - 2, max_n + 1, p), 2, p=p, e=1)
-        cases = (({"n": n}, 0, r) for n, r in residues)
+        ns = range(p - 2, max_n + 1, p)
+        expected, residues = repeat(0), _fuss_catalan_residues(ns, 2, p=p, e=1)
     elif theorem is Theorem.MODP_KANGULATION:
         if k is None or k < 3:
             raise ValueError("MODP_KANGULATION requires k >= 3")
@@ -201,8 +211,8 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
         if step % p == 0:
             raise ValueError(f"p={p} divides k-2={step}, so no n = {step}m + 2 is divisible by p")
         ms = range(-2 * pow(step, -1, p) % p, (max_n - 2) // step + 1, p)
-        residues = _fuss_catalan_residues(ms, k - 1, p=p, e=1)
-        cases = (({"n": step * m + 2}, 0, r) for m, r in residues)
+        ns = range(step * ms.start + 2, step * ms.stop + 2, step * p)  # n = step*m + 2, as long as ms
+        expected, residues = repeat(0), _fuss_catalan_residues(ms, k - 1, p=p, e=1)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    return VerificationReport(theorem, bounds, *_first_mismatch(cases))
+    return VerificationReport(theorem, bounds, *_first_mismatch("n", ns, expected, residues))

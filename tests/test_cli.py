@@ -207,6 +207,24 @@ class TestVerifyCommands:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.endswith("verified 2 cases\n")
 
+    @pytest.mark.parametrize("kind,k,cell", [("central", 9, 3), ("quad", 2, 4), ("quad", 4, 4)])
+    def test_recursion_refuses_k_with_a_fixed_cell(self, kind, k, cell):
+        # central and quad fix the cell size, so an explicit --k is an error,
+        # even one equal to it, not a flag silently ignored.
+        argv = ["verify", "recursion", "--kind", kind, "--k", str(k), "--max", "20"]
+        done = subprocess.run(
+            [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        message = f"error: --k is only for --kind kang; --kind {kind} has k = {cell}\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
+    def test_recursion_kang_defaults_to_k_3(self, capsys):
+        assert run(["verify", "recursion", "--kind", "kang", "--max", "30"]) == 0
+        default = capsys.readouterr()
+        assert run(["verify", "recursion", "--kind", "kang", "--k", "3", "--max", "30"]) == 0
+        assert capsys.readouterr() == default
+        assert default.out.endswith("verified 27 cases\n")
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_recursion_kang_rejects_small_k(self, capsys, k):
         assert run(["verify", "recursion", "--kind", "kang", "--k", str(k), "--max", "100"]) == 2

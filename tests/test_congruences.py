@@ -40,6 +40,11 @@ class TestPredictors:
             assert predict_mod2(n) == catalan_mod(n, 2)
             assert predict_mod4(n) == catalan_mod(n, 4)
 
+    def test_mod4_matches_the_weight_read_from_the_binary_string(self):
+        for n in range(2**16):
+            weight = bin(n + 1).count("1")
+            assert predict_mod4(n) == {1: 1, 2: 2}.get(weight, 0), n
+
 
 @pytest.mark.parametrize(
     "call,message",
@@ -145,15 +150,11 @@ class TestVerify:
 
     def test_counterexample_reporting(self):
         # first mismatch in index order wins
-        cases = [
-            ({"n": 0}, 1, 1),
-            ({"n": 1}, 0, 1),
-            ({"n": 2}, 0, 3),
-        ]
-        ce, compared = _first_mismatch(iter(cases))
+        ns, expected, actual = [0, 1, 2], [1, 0, 0], [1, 1, 3]
+        ce, compared = _first_mismatch("n", iter(ns), iter(expected), iter(actual))
         assert ce == {"n": 1, "expected": 0, "actual": 1}
         assert compared == 2
-        assert _first_mismatch(iter(cases[:1])) == (None, 1)
+        assert _first_mismatch("n", iter(ns[:1]), iter(expected[:1]), iter(actual[:1])) == (None, 1)
 
     def test_wrong_prediction_is_reported_with_the_true_residue(self, monkeypatch):
         bad_n = 300
@@ -227,6 +228,78 @@ class TestCasesChecked:
         assert verify_congruence(Theorem.MODP_KANGULATION, 700, p=5, k=4).passed
 
 
+class TestStreams:
+    """verify_congruence compares three parallel streams: the checked n, the prediction and the residue."""
+
+    @pytest.fixture
+    def streams(self, monkeypatch):
+        """The ms of each residue sweep, and the n values that _first_mismatch names."""
+        seen = {"ms": [], "ns": []}
+
+        def residues(ms, k, p, e):
+            seen["ms"].append(ms)
+            return _fuss_catalan_residues(ms, k, p, e)
+
+        def first_mismatch(name, values, expected, actual):
+            seen["ns"].append(list(values))
+            return _first_mismatch(name, seen["ns"][-1], expected, actual)
+
+        monkeypatch.setattr(polycenter.congruences, "_fuss_catalan_residues", residues)
+        monkeypatch.setattr(polycenter.congruences, "_first_mismatch", first_mismatch)
+        return seen
+
+    @pytest.mark.parametrize(
+        "theorem,p,k,position",
+        [
+            (Theorem.ODD_CHARACTERIZATION, None, None, 300),
+            (Theorem.MOD4_CLASSIFICATION, None, None, 300),
+            (Theorem.MODP_CATALAN, 7, None, 20),
+            (Theorem.MODP_KANGULATION, 5, 4, 7),
+            (Theorem.MODP_KANGULATION, 3, 7, 11),
+        ],
+        ids=["odd", "mod4", "modp", "kangp-4", "kangp-7"],
+    )
+    def test_wrong_residue_is_reported_at_its_n(self, monkeypatch, theorem, p, k, position):
+        sweeps = []
+
+        def wrong_at_position(ms, k, p, e):
+            sweeps.append(ms)
+            for i, r in enumerate(_fuss_catalan_residues(ms, k, p, e)):
+                yield (r + 1) % p**e if i == position else r
+
+        monkeypatch.setattr(polycenter.congruences, "_fuss_catalan_residues", wrong_at_position)
+        report = verify_congruence(theorem, 1000, p=p, k=k)
+        (ms,) = sweeps
+        m = ms[position]
+        if theorem is Theorem.MODP_KANGULATION:
+            n, expected, actual = (k - 2) * m + 2, 0, (fuss_catalan(m, k - 1) + 1) % p
+        elif theorem is Theorem.MODP_CATALAN:
+            n, expected, actual = m, 0, (catalan(m) + 1) % p
+        elif theorem is Theorem.ODD_CHARACTERIZATION:
+            n, expected, actual = m, predict_mod2(m), (catalan(m) + 1) % 2
+        else:
+            n, expected, actual = m, predict_mod4(m), (catalan(m) + 1) % 4
+        assert not report.passed
+        assert list(report.counterexample) == ["n", "expected", "actual"]
+        assert report.counterexample == {"n": n, "expected": expected, "actual": actual}
+        assert report.cases == position + 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_kangp_n_range_follows_the_ms(self, streams, p):
+        empty = 0
+        for k in range(3, 15):
+            if k % p == 0 or (k - 2) % p == 0:
+                continue
+            for max_n in (0, 1, 2, 3, k - 1, k, k + 1, 2 * k, 97, 400):
+                report = verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
+                ms, ns = streams["ms"][-1], streams["ns"][-1]
+                assert ns == [(k - 2) * m + 2 for m in ms], (p, k, max_n)
+                assert ns == kangp_indices(p, k, max_n), (p, k, max_n)
+                assert report.passed and report.cases == len(ns)
+                empty += not ns
+        assert empty
+
+
 class TestResidueSweep:
     """The residue sweep against exact values reduced mod p**e."""
 
@@ -239,7 +312,7 @@ class TestResidueSweep:
         for p, e in self.MODULI:
             q = p**e
             dense = list(_fuss_catalan_residues(range(self.M + 1), k, p=p, e=e))
-            assert dense == [(m, x % q) for m, x in enumerate(exact)], (k, p, e)
+            assert dense == [x % q for x in exact], (k, p, e)
             sparse = [
                 range(p - 2, self.M + 1, p),
                 range(7, self.M + 1, 97),
@@ -247,7 +320,7 @@ class TestResidueSweep:
                 range(0, 1),
             ]
             for ms in sparse:
-                assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == [(m, exact[m] % q) for m in ms]
+                assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == [exact[m] % q for m in ms]
             for ms in (range(0), range(9, 3), range(self.M + 1, self.M + 1)):
                 assert list(_fuss_catalan_residues(ms, k, p=p, e=e)) == []
 
@@ -259,7 +332,7 @@ class TestResidueSweep:
         for p, e in [(3, 1), (7, 1), (2, 2)]:
             q = p**e
             residues = list(_fuss_catalan_residues(range(21), k, p=p, e=e))
-            assert residues == [(m, x % q) for m, x in enumerate(exact)], (k, p, e)
+            assert residues == [x % q for x in exact], (k, p, e)
 
 
 def valuation(x, p):
@@ -313,8 +386,8 @@ class TestSteps:
         # even and skipped, so the steps run 0..14 once each, with no gap.
         ms = range(3, 16, 2)
         residues = list(_fuss_catalan_residues(ms, 2, p=2, e=1))
-        assert residues == [(m, catalan(m) % 2) for m in ms]
-        assert [r for _, r in residues] == [1, 0, 1, 0, 0, 0, 1]
+        assert residues == [catalan(m) % 2 for m in ms]
+        assert residues == [1, 0, 1, 0, 0, 0, 1]
         assert steps == list(range(15))
 
 
@@ -352,7 +425,7 @@ class TestScaling:
         elapsed = time.perf_counter() - start
         assert len(residues) == 2001
         for m in (0, 1, 2, 999, 1000, 2000):
-            assert residues[m] == (m, fuss_catalan(m, 1000) % 3), m
+            assert residues[m] == fuss_catalan(m, 1000) % 3, m
         assert elapsed < self.BUDGET_S, elapsed
 
     def test_sparse_modp_to_10000000(self):
