@@ -231,23 +231,6 @@ class TestCasesChecked:
 class TestStreams:
     """verify_congruence compares three parallel streams: the checked n, the prediction and the residue."""
 
-    @pytest.fixture
-    def streams(self, monkeypatch):
-        """The ms of each residue sweep, and the n values that _first_mismatch names."""
-        seen = {"ms": [], "ns": []}
-
-        def residues(ms, k, p, e):
-            seen["ms"].append(ms)
-            return _fuss_catalan_residues(ms, k, p, e)
-
-        def first_mismatch(name, values, expected, actual):
-            seen["ns"].append(list(values))
-            return _first_mismatch(name, seen["ns"][-1], expected, actual)
-
-        monkeypatch.setattr(polycenter.congruences, "_fuss_catalan_residues", residues)
-        monkeypatch.setattr(polycenter.congruences, "_first_mismatch", first_mismatch)
-        return seen
-
     @pytest.mark.parametrize(
         "theorem,p,k,position",
         [
@@ -285,7 +268,20 @@ class TestStreams:
         assert report.cases == position + 1
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
-    def test_kangp_n_range_follows_the_ms(self, streams, p):
+    def test_kangp_n_range_follows_the_ms(self, monkeypatch, p):
+        # The ms of each residue sweep, and the n values that _first_mismatch names.
+        streams = {"ms": [], "ns": []}
+
+        def residues(ms, k, p, e):
+            streams["ms"].append(ms)
+            return _fuss_catalan_residues(ms, k, p, e)
+
+        def first_mismatch(name, values, expected, actual):
+            streams["ns"].append(list(values))
+            return _first_mismatch(name, streams["ns"][-1], expected, actual)
+
+        monkeypatch.setattr(polycenter.congruences, "_fuss_catalan_residues", residues)
+        monkeypatch.setattr(polycenter.congruences, "_first_mismatch", first_mismatch)
         empty = 0
         for k in range(3, 15):
             if k % p == 0 or (k - 2) % p == 0:
