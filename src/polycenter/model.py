@@ -6,6 +6,9 @@ central-component classification work on vertex labels, never on
 coordinates.  Faces come from one sweep over the diagonals ordered by right
 end, which closes each cell as its bounding diagonal is reached and finds a
 crossing as a left end that an earlier diagonal has already closed off.
+:func:`central_component` classifies inside that same sweep: it builds a
+tuple only for the cells spanning at least half the polygon, the only ones
+that can hold the center or have the diameter as a side.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from math import factorial
-from operator import sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 #: Shape key of a central component that is a diameter edge.
@@ -50,19 +53,24 @@ def _cell_text(cell) -> str:
     return f"({', '.join(map(str, cell[:6]))}, ..., {cell[-1]})"
 
 
-def faces(d: Dissection) -> list:
-    """All interior cells of the dissection, each a sorted vertex tuple.
+def _sweep(d: Dissection, span: int):
+    """One pass over the diagonals by right end, closing each cell in turn.
 
-    Rejects crossing diagonal sets and dissections whose cells are not all
-    k-gons.  The sorted vertex order of a cell is its cyclic order rotated
-    to the minimum label.  One sweep takes the diagonals (x, y) by right end
-    y, the shorter first where two share it, over a sorted list of the
-    vertices still open: each diagonal closes the cell of the open vertices
-    from x to y and removes those strictly between.  A diagonal whose x is
-    no longer open crosses an earlier one, which removed it.
+    Returns ``(cells, sized)``: the tuple of every cell whose span
+    v_last - v_first is at least ``span``, in the order the sweep closes
+    them, and whether every cell, built or not, has d.k vertices.  Takes
+    the diagonals (x, y) by right end y, the shorter first where two share
+    it, over a sorted list of the vertices still open: each diagonal closes
+    the cell of the open vertices from x to y and removes those strictly
+    between.  A diagonal whose x is no longer open crosses an earlier one,
+    which removed it; that raises ValueError at once.  The last cell, the
+    open vertices from 0 to n - 1, spans n - 1 and is always built.
     """
-    diagonals = sorted(d.diagonals, key=lambda e: (e[1], -e[0]))
-    out: list = []
+    diagonals = sorted(d.diagonals, reverse=True)
+    diagonals.sort(key=itemgetter(1))
+    k = d.k
+    cells: list = []
+    sized = True
     open_ = [0]  # vertex 0 is never strictly inside a diagonal
     for j, (x, y) in enumerate(diagonals):
         open_.extend(range(open_[-1] + 1, y + 1))
@@ -70,16 +78,33 @@ def faces(d: Dissection) -> list:
         if open_[i] != x:
             a, b = next(e for e in diagonals[:j] if e[0] < x < e[1])
             raise ValueError(f"diagonals {(a, b)} and {(x, y)} cross")
-        out.append(tuple(open_[i:]))
+        if len(open_) - i != k:
+            sized = False
+        if y - x >= span:
+            cells.append(tuple(open_[i:]))
         del open_[i + 1 : -1]
     open_.extend(range(open_[-1] + 1, d.n))
-    out.append(tuple(open_))
+    cells.append(tuple(open_))
+    return cells, sized and len(open_) == k
+
+
+def faces(d: Dissection) -> list:
+    """All interior cells of the dissection, each a sorted vertex tuple.
+
+    Rejects crossing diagonal sets and dissections whose cells are not all
+    k-gons; a crossing wins when a set has both, and the size error names
+    the first wrong cell in sorted order.  The sorted vertex order of a cell
+    is its cyclic order rotated to the minimum label.  The cells come from
+    :func:`_sweep`, every one of them built.
+    """
+    out, sized = _sweep(d, 0)
     out.sort()
-    for f in out:
-        if len(f) != d.k:
-            raise ValueError(
-                f"cell {_cell_text(f)} has {len(f)} vertices; not a dissection into {d.k}-gons"
-            )
+    if not sized:
+        for f in out:
+            if len(f) != d.k:
+                raise ValueError(
+                    f"cell {_cell_text(f)} has {len(f)} vertices; not a dissection into {d.k}-gons"
+                )
     return out
 
 
@@ -128,11 +153,20 @@ def _central_of(cell, n: int):
 def central_component(d: Dissection) -> CentralComponent:
     """Classify the dissection by the component containing the polygon center.
 
-    Applies :func:`_central_of` to every cell of :func:`faces`, which has
-    rejected crossings by then, and checks that exactly one cell hits.
+    Reads the same :func:`_sweep` as :func:`faces`, but builds only the
+    cells that span at least half the polygon, the only ones
+    :func:`_central_of` does not reject at once, and applies it to those.  A
+    crossing or a cell of the wrong size raises :func:`faces`' ValueError;
+    more or fewer than one hit is an AssertionError listing the hits in
+    sorted cell order.
     """
-    central = [c for f in faces(d) if (c := _central_of(f, d.n)) is not None]
+    n = d.n
+    wide, sized = _sweep(d, (n + 1) // 2)
+    if not sized:
+        faces(d)  # raises the error for the wrong cell size
+    central = [c for f in wide if (c := _central_of(f, n)) is not None]
     if len(central) != 1:
+        central = [c for f in sorted(wide) if (c := _central_of(f, n)) is not None]
         raise AssertionError(f"expected one central component, found {central}")
     return central[0]
 

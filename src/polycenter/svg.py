@@ -63,12 +63,6 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
     central = central_component(d)
     xs, ys, outline, tail = _frame(d.n)
 
-    def line(a: int, b: int, cls: str, stroke: str, width: str) -> str:
-        return (
-            f'<line class="{cls}" x1="{xs[a]}" y1="{ys[a]}" '
-            f'x2="{xs[b]}" y2="{ys[b]}" stroke="{stroke}" stroke-width="{width}"/>'
-        )
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -81,9 +75,16 @@ def render_svg(d: Dissection, highlight_central: bool = True) -> str:
             'fill="#ffd24d" fill-opacity="0.65" stroke="#c0392b" stroke-width="0.02"/>'
         )
     lines.append(outline)
-    for a, b in sorted(d.diagonals):
-        lines.append(line(a, b, "diagonal", "#2b6cb0", "0.012"))
+    lines += [
+        f'<line class="diagonal" x1="{xs[a]}" y1="{ys[a]}" '
+        f'x2="{xs[b]}" y2="{ys[b]}" stroke="#2b6cb0" stroke-width="0.012"/>'
+        for a, b in sorted(d.diagonals)
+    ]
     if highlight_central and diameter:
-        lines.append(line(*central.vertices, "central", "#c0392b", "0.03"))
+        a, b = central.vertices
+        lines.append(
+            f'<line class="central" x1="{xs[a]}" y1="{ys[a]}" '
+            f'x2="{xs[b]}" y2="{ys[b]}" stroke="#c0392b" stroke-width="0.03"/>'
+        )
     lines.append(tail)
     return "\n".join(lines)

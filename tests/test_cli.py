@@ -1049,6 +1049,25 @@ class TestSvgDocument:
         svg = render_svg(Dissection(n, parse_diagonals(diagonals), k), highlight_central=highlight)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("highlight", [True, False])
+    @pytest.mark.parametrize(
+        "n, diagonals, message",
+        [
+            (4, {(0, 2), (1, 3)}, "diagonals (0, 2) and (1, 3) cross"),
+            (6, {(0, 2)}, "cell (0, 2, 3, 4, 5) has 5 vertices; not a dissection into 3-gons"),
+        ],
+    )
+    def test_invalid_dissection_raises_the_faces_message(self, n, diagonals, message, highlight):
+        from polycenter import faces
+
+        d = Dissection(n, diagonals)
+        with pytest.raises(ValueError) as expected:
+            faces(d)
+        assert str(expected.value) == message
+        with pytest.raises(ValueError) as got:
+            render_svg(d, highlight_central=highlight)
+        assert str(got.value) == message
+
     def test_frame_cache_keeps_one_n(self):
         from polycenter import parse_diagonals
         from polycenter.svg import _frame

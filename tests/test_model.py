@@ -274,6 +274,55 @@ class TestCentralComponent:
                 else:
                     assert inside == [central.vertices]
 
+    def test_sweep_classification_matches_every_cell_rule(self):
+        # central_component classifies inside faces' sweep; the old rule
+        # applied _central_of to every cell of faces(d).  Over every set of
+        # at most 4 diagonals for n <= 9 they agree, or central_component
+        # raises faces' own exception, type and message.
+        for n in range(3, 10):
+            diagonals = [(x, y) for x, y in combinations(range(n), 2) if 1 < y - x < n - 1]
+            for size in range(5):
+                for diags in combinations(diagonals, size):
+                    for k in (3, 4, 5):
+                        d = Dissection(n, diags, k)
+                        try:
+                            cells = faces(d)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError) as got:
+                                central_component(d)
+                            assert type(got.value) is type(exc), (n, diags, k)
+                            assert str(got.value) == str(exc), (n, diags, k)
+                            continue
+                        old = [c for f in cells if (c := model._central_of(f, n)) is not None]
+                        assert len(old) == 1, (n, diags, k)
+                        assert central_component(d) == old[0], (n, diags, k)
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (14, 4), (17, 5), (22, 6)])
+    def test_sweep_classification_matches_on_enumerated(self, n, k):
+        for d in enumerate_kangulations(n, k):
+            old = [c for f in faces(d) if (c := model._central_of(f, n)) is not None]
+            assert [central_component(d)] == old, d
+
+    @pytest.mark.parametrize(
+        "rule", [lambda cell, n: None, lambda cell, n: model.CentralComponent(n, cell)]
+    )
+    def test_hit_count_error_lists_cells_in_sorted_order(self, monkeypatch, rule):
+        # The sweep closes (1, 3, 5) before the last cell (0, 1, 5); the
+        # message lists them sorted, as the every-cell rule did.  Only cells
+        # spanning half the polygon reach _central_of, so the rule rejects
+        # the others itself and both readings see the same hits.
+        def wide_rule(cell, n):
+            return rule(cell, n) if 2 * (cell[-1] - cell[0]) >= n else None
+
+        monkeypatch.setattr(model, "_central_of", wide_rule)
+        d = Dissection(6, {(1, 3), (3, 5), (1, 5)})
+        old = [c for f in faces(d) if (c := wide_rule(f, 6)) is not None]
+        with pytest.raises(AssertionError) as exc:
+            central_component(d)
+        assert str(exc.value) == f"expected one central component, found {old}"
+        if old:
+            assert [c.vertices for c in old] == [(0, 1, 5), (1, 3, 5)]
+
     def test_two_hits_are_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(model, "_central_of", lambda cell, n: model.CentralComponent(n, cell))
         with pytest.raises(AssertionError, match="expected one central component"):
