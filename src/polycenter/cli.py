@@ -69,9 +69,9 @@ CONGRUENCE_LIMIT = 10_000_000
 FIXED_VERTEX_LIMIT = 40_000
 
 #: Largest n that render accepts.  Memory binds before time: a document
-#: costs about 0.9 KB of peak RSS and 10 µs a vertex, so render 250000
-#: --k 250000 --highlight-central ends in about 3 s with a peak RSS near
-#: 220 MiB and writes a 58 MB SVG, where n = 1000000 peaks near 1 GiB.
+#: costs about 0.9 KB of peak RSS and 5 µs a vertex, so render 250000
+#: --k 250000 --highlight-central ends in about 1.5 s with a peak RSS near
+#: 222 MiB and writes a 58 MB SVG, where n = 1000000 peaks near 1 GiB.
 RENDER_LIMIT = 250_000
 
 #: Most decimal digits that catalan, fuss, kang and quad may compute,

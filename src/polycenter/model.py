@@ -97,14 +97,13 @@ def faces(d: Dissection) -> list:
     is its cyclic order rotated to the minimum label.  The cells come from
     :func:`_sweep`, every one of them built.
     """
-    out, sized = _sweep(d, 0)
+    out = _sweep(d, 0)[0]
     out.sort()
-    if not sized:
-        for f in out:
-            if len(f) != d.k:
-                raise ValueError(
-                    f"cell {_cell_text(f)} has {len(f)} vertices; not a dissection into {d.k}-gons"
-                )
+    for f in out:
+        if len(f) != d.k:
+            raise ValueError(
+                f"cell {_cell_text(f)} has {len(f)} vertices; not a dissection into {d.k}-gons"
+            )
     return out
 
 

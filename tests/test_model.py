@@ -275,8 +275,8 @@ class TestCentralComponent:
                     assert inside == [central.vertices]
 
     def test_sweep_classification_matches_every_cell_rule(self):
-        # central_component classifies inside faces' sweep; the old rule
-        # applied _central_of to every cell of faces(d).  Over every set of
+        # central_component classifies inside faces' sweep; the reference
+        # applies _central_of to every cell of faces(d).  Over every set of
         # at most 4 diagonals for n <= 9 they agree, or central_component
         # raises faces' own exception, type and message.
         for n in range(3, 10):
