@@ -7,7 +7,7 @@ coordinates.  Faces come from one sweep over the diagonals ordered by right
 end, which closes each cell as its bounding diagonal is reached and finds a
 crossing as a left end that an earlier diagonal has already closed off.
 :func:`central_component` classifies inside that same sweep: it builds a
-tuple only for the cells spanning at least half the polygon, the only ones
+tuple only for the cells spanning more than half the polygon, the only ones
 that can hold the center or have the diameter as a side.
 """
 
@@ -132,35 +132,36 @@ class CentralComponent(NamedTuple):
 def _central_of(cell, n: int):
     """The central component that the sorted cell is or has as a side, else None.
 
-    A cell that spans less than half the polygon, 2(v_last - v_first) < n,
+    A cell that spans at most half the polygon, 2(v_last - v_first) <= n,
     can neither hold the center nor have a diameter as a side, so it is
-    rejected at once.  A side (a, b) with 2(b - a) = n is the diameter; a
-    longer side leaves the cell off center, and at most one side reaches n/2.
-    Otherwise the cell holds the center iff its wrap arc
-    n - (v_last - v_first) is below n/2 too.  A diameter's ends are
-    consecutive in one of its two cells and wrap in the other, so exactly one
-    cell of a dissection hits.
+    rejected at once: its wrap arc is at least n/2, and at exactly n/2 that
+    arc is the diameter while its k - 1 >= 2 inner sides are all shorter.
+    Otherwise the wrap arc is below n/2.  An inner side (a, b) with
+    2(b - a) = n is the diameter; a longer side leaves the cell off center,
+    and at most one side reaches n/2.  With every side below n/2 the cell
+    holds the center.  A diameter's ends are consecutive in one of its two
+    cells and wrap in the other, so exactly one cell of a dissection hits.
     """
-    if 2 * (cell[-1] - cell[0]) < n:
+    if 2 * (cell[-1] - cell[0]) <= n:
         return None
     for a, b in zip(cell, cell[1:]):
         if 2 * (b - a) >= n:
             return CentralComponent(n, (a, b)) if 2 * (b - a) == n else None
-    return CentralComponent(n, cell) if 2 * (cell[-1] - cell[0]) > n else None
+    return CentralComponent(n, cell)
 
 
 def central_component(d: Dissection) -> CentralComponent:
     """Classify the dissection by the component containing the polygon center.
 
     Reads the same :func:`_sweep` as :func:`faces`, but builds only the
-    cells that span at least half the polygon, the only ones
+    cells that span more than half the polygon, the only ones
     :func:`_central_of` does not reject at once, and applies it to those.  A
     crossing or a cell of the wrong size raises :func:`faces`' ValueError;
     more or fewer than one hit is an AssertionError listing the hits in
     sorted cell order.
     """
     n = d.n
-    wide, sized = _sweep(d, (n + 1) // 2)
+    wide, sized = _sweep(d, n // 2 + 1)
     if not sized:
         faces(d)  # raises the error for the wrong cell size
     central = [c for f in wide if (c := _central_of(f, n)) is not None]

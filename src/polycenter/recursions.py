@@ -53,10 +53,16 @@ def _weights(n: int, k: int, m: int, c: list, top: int):
     placement multiplicity is n * k! / (k * prod(r!)) over its run lengths
     r.  Returns ``(arrangements, weights)``: every tuple adds the product of
     c over its indices to ``weights[d]``, where ``arrangements // d`` is its
-    multiplicity.  For fixed first k-2 indices the run lengths change only
-    when the last two indices a <= total - a have a equal to index k-2 or
-    to total - a; each of those tails is one product, and the other tails
-    are one dot product of c over a with c over total - a.
+    multiplicity.  The walk places the indices in ascending order and
+    closes on the last three x <= y <= b, after an index last, in one of two
+    ways.  On x: for each x, the pair y <= b summing to total - x changes
+    the run lengths only at y = x or y = b; each of those tails is one
+    product, and the other tails are one dot product of c over y with c
+    over b.  On b, where
+    top < total - 2 last bounds b and leaves b fewer values than x has: for
+    each b, x runs over [max(last, total - 2b), (total - b) // 2] and
+    changes the run lengths only at x = last, y = b or x = y, with the same
+    products and one dot product of c over x with c over y.
     """
     # A sorted k-tuple summing to m starts with at least k - m zeros, and
     # c[0] = 1: place them as one run, so the walk recurses at most m levels.
@@ -68,28 +74,53 @@ def _weights(n: int, k: int, m: int, c: list, top: int):
     def walk(depth, last, total, product, symmetry, run):
         # depth indices are placed, the last is last; symmetry is k * prod(r!)
         # / zeros! over them, the product of each index's position in its run
-        # past the leading zeros; run is the last run's length.  The loop
-        # places index depth + 1: up to index k-3 it recurses, and index k-2
-        # closes the tuple with the last two.
-        for j in range(last, min(top, total // (k - depth)) + 1):
-            j_run = run + 1 if j == last else 1
-            rest, weight, sym = total - j, product * c[j], symmetry * j_run
-            if depth < k - 3:
-                walk(depth + 1, j, rest, weight, sym, j_run)
-                continue
-            # two indices j <= a <= rest - a <= top remain
-            lo = max(j, rest - top)
-            hi = rest // 2
-            if lo == j:
-                d = sym * ((j_run + 1) * (j_run + 2) if 2 * j == rest else j_run + 1)
-                weights[d] += weight * c[j] * c[rest - j]
-                lo += 1
-            if lo <= hi and 2 * hi == rest:
-                weights[sym * 2] += weight * c[hi] * c[hi]
-                hi -= 1
-            if lo <= hi:
-                dot = sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-                weights[sym] += weight * dot
+        # past the leading zeros; run is the last run's length.  Up to index
+        # k-3 the walk places one index and recurses; then three indices
+        # last <= x <= y <= b remain, and it closes the tuple on b or on x.
+        if depth < k - 3:
+            for j in range(last, min(top, total // (k - depth)) + 1):
+                j_run = run + 1 if j == last else 1
+                walk(depth + 1, j, total - j, product * c[j], symmetry * j_run, j_run)
+        elif top < total - 2 * last and top + last < (total + 2) // 3 + min(top, total // 3):
+            # top bounds b, which has fewer values than x: for each b the
+            # pairs x <= y <= b sum to rest.  b > last, since b = last would
+            # need top >= total - 2 last, and so y > last.
+            for b in range((total + 2) // 3, top + 1):
+                rest, weight = total - b, product * c[b]
+                lo = max(last, rest - b)
+                hi = rest // 2
+                if lo == last:
+                    # x = last, and y = b when lo = rest - b too
+                    d = symmetry * (run + 1) * (2 if rest - last == b else 1)
+                    weights[d] += weight * c[last] * c[rest - last]
+                    lo += 1
+                if lo <= hi and lo == rest - b:
+                    # y = b, and x = b too when rest = 2b
+                    weights[symmetry * (6 if lo == b else 2)] += weight * c[lo] * c[b]
+                    lo += 1
+                if lo <= hi and 2 * hi == rest:
+                    weights[symmetry * 2] += weight * c[hi] * c[hi]
+                    hi -= 1
+                if lo <= hi:
+                    dot = sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+                    weights[symmetry] += weight * dot
+        else:
+            for x in range(last, min(top, total // 3) + 1):
+                x_run = run + 1 if x == last else 1
+                rest, weight, sym = total - x, product * c[x], symmetry * x_run
+                # the pairs x <= y <= rest - y <= top
+                lo = max(x, rest - top)
+                hi = rest // 2
+                if lo == x:
+                    d = sym * ((x_run + 1) * (x_run + 2) if 2 * x == rest else x_run + 1)
+                    weights[d] += weight * c[x] * c[rest - x]
+                    lo += 1
+                if lo <= hi and 2 * hi == rest:
+                    weights[sym * 2] += weight * c[hi] * c[hi]
+                    hi -= 1
+                if lo <= hi:
+                    dot = sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+                    weights[sym] += weight * dot
 
     walk(zeros, 0, m, 1, k, zeros)
     return n * perm(k, k - zeros), weights

@@ -303,16 +303,26 @@ class TestCentralComponent:
             old = [c for f in faces(d) if (c := model._central_of(f, n)) is not None]
             assert [central_component(d)] == old, d
 
+    def test_cell_spanning_exactly_half_is_never_central(self):
+        # its wrap arc is the diameter and its inner sides are all shorter,
+        # so it neither holds the center nor has the diameter as a side
+        for n in range(4, 15, 2):
+            for k in range(3, 6):
+                for inner in combinations(range(1, n // 2), k - 2):
+                    for first in range(n // 2):
+                        cell = (first, *(first + v for v in inner), first + n // 2)
+                        assert model._central_of(cell, n) is None, (cell, n)
+
     @pytest.mark.parametrize(
         "rule", [lambda cell, n: None, lambda cell, n: model.CentralComponent(n, cell)]
     )
     def test_hit_count_error_lists_cells_in_sorted_order(self, monkeypatch, rule):
         # The sweep closes (1, 3, 5) before the last cell (0, 1, 5); the
         # message lists them sorted, as the every-cell rule did.  Only cells
-        # spanning half the polygon reach _central_of, so the rule rejects
-        # the others itself and both readings see the same hits.
+        # spanning more than half the polygon reach _central_of, so the rule
+        # rejects the others itself and both readings see the same hits.
         def wide_rule(cell, n):
-            return rule(cell, n) if 2 * (cell[-1] - cell[0]) >= n else None
+            return rule(cell, n) if 2 * (cell[-1] - cell[0]) > n else None
 
         monkeypatch.setattr(model, "_central_of", wide_rule)
         d = Dissection(6, {(1, 3), (3, 5), (1, 5)})

@@ -116,13 +116,28 @@ class TestCentralTerms:
     @pytest.mark.parametrize(
         "n, k, shape",
         [
-            (6, 3, (2, 2, 2)),  # all sides equal: a == last == total - a
-            (12, 4, (3, 3, 3, 3)),
+            # The walk closes the last three indices x <= y <= b after an
+            # index last, on x where top does not bound b and on b where it
+            # does and b has fewer values.  k = 3 closes on x at n = 3 and 5
+            # and on b from n = 6; k = 4..8 close on x at m = 1 and 3, on b
+            # at m = 4 and on both from m = 5, n = (k-2)m + 2.
+            # Closed on x:
+            (12, 4, (3, 3, 3, 3)),  # x == last == y == b
             (17, 5, (1, 4, 4, 4, 4)),
-            (11, 3, (3, 3, 5)),  # a == last
+            (14, 4, (3, 3, 3, 5)),  # x == last == y < b, which needs b = total - 2 last > top
+            (20, 4, (3, 5, 5, 7)),  # x == y above last
+            (22, 4, (3, 5, 7, 7)),  # y == b above x
+            (5, 3, (1, 2, 2)),
+            # Closed on b:
+            (6, 3, (2, 2, 2)),  # x == y == b
+            (10, 4, (1, 3, 3, 3)),
+            (13, 3, (1, 6, 6)),  # y == b above x
+            (14, 4, (1, 3, 5, 5)),
+            (11, 3, (3, 3, 5)),  # x == y below b
             (17, 5, (1, 1, 4, 4, 7)),
-            (13, 3, (1, 6, 6)),  # a == total - a above last
-            (12, 4, (1, 1, 5, 5)),
+            (26, 4, (3, 3, 9, 11)),  # x == last
+            (12, 4, (1, 1, 5, 5)),  # x == last and y == b at once: lo = last = total - 2b
+            (17, 5, (1, 1, 1, 7, 7)),
         ],
     )
     def test_edge_families(self, n, k, shape):
@@ -130,23 +145,29 @@ class TestCentralTerms:
         assert shape in dict(terms)
         assert terms == reference_terms(n, k)
 
-    def test_buckets_are_the_distinct_placement_counts(self):
-        # each bucket's divisor d gives one multiplicity arrangements // d; for
-        # k = 3 these are exactly the distinct placement counts of the shapes,
-        # and each bucket holds the sub-polygon products of those shapes
-        n = 30
-        c, _, m, top = _central(n, 3)
-        arrangements, weights = _weights(n, 3, m - 1, c, top)
-        by_count = {}
-        for shape, _ in reference_terms(n, 3):
-            if shape != DIAMETER:
-                count = placement_count(shape, n)
-                weight = prod(kangulation_count(side + 1, 3) for side in shape)
-                by_count[count] = by_count.get(count, 0) + weight
-        assert all(arrangements % d == 0 for d in weights)
-        assert {arrangements // d: weight for d, weight in weights.items()} == by_count
-        # all sides equal, two equal, all distinct
-        assert sorted(by_count) == [n // 3, n, 2 * n]
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 10, 40])
+    def test_buckets_are_the_distinct_placement_counts(self, k):
+        # each bucket's divisor d gives one multiplicity arrangements // d,
+        # and each bucket holds the sub-polygon products of the shapes with
+        # that placement count.  Every admissible n <= 120 for k <= 8, m <= 8
+        # above: the closings of test_edge_families, on x, on b and on both
+        ns = range(k, 121) if k <= 8 else [(k - 2) * m + 2 for m in range(1, 9)]
+        for n in ns:
+            c, _, m, top = _central(n, k)
+            if m is None:
+                continue
+            arrangements, weights = _weights(n, k, m - 1, c, top)
+            by_count = {}
+            for shape, _ in reference_terms(n, k):
+                if shape != DIAMETER:
+                    count = placement_count(shape, n)
+                    weight = prod(kangulation_count(side + 1, k) for side in shape)
+                    by_count[count] = by_count.get(count, 0) + weight
+            assert all(arrangements % d == 0 for d in weights), (n, k)
+            assert {arrangements // d: weight for d, weight in weights.items()} == by_count, (n, k)
+            if (n, k) == (30, 3):
+                # all sides equal, two equal, all distinct
+                assert sorted(by_count) == [n // 3, n, 2 * n]
 
     @pytest.mark.parametrize("k", [10, 17, 40, 101])
     def test_sum_matches_terms_when_k_exceeds_the_index_sum(self, k):
