@@ -84,13 +84,13 @@ COUNT_LIMIT = 425_000
 #: Most units of work that one verify recursion run may do.  Its last case,
 #: the polygon of Fuss-Catalan index M, walks about T sorted k-tuples of
 #: indices and multiplies bigints of about B bits, so the run costs about
-#: T * B * cases units (see _recursion_max).  Every run of 1 s or more took
-#: 0.8 to 2.3e-10 s a unit on CPython 3.11 (central --max 1000: 4.1e10
-#: units, 5.8 s; kang --k 10 --max 800: 2.2e11 units, 27.5 s), so a run at
-#: the limit ends within about 30 s.  The largest admitted --max is 1304
-#: for central (16.5 s), 414 for quad (9.4 s) and 688 for kang --k 5
-#: (8.9 s); at k from 4 to 200,000 a run at the limit took 8.9 to 27.6 s,
-#: the slowest at k = 50.
+#: T * B * cases units (see _recursion_max).  A run at the limit does 1.1
+#: to 1.2e11 units and took 0.5 to 1.3e-10 s a unit on CPython 3.11
+#: (central --max 1000: 4.1e10 units, 2.2 s), so it ends within about 30 s.
+#: The largest admitted --max is 1304 for central (6.2 to 6.3 s), 414 for
+#: quad (5.3 to 6.2 s) and 688 for kang --k 5 (5.9 to 7.4 s); at k = 10,
+#: 50 and 200,000 a run at the limit took 8.0 to 15.1 s, the slowest at
+#: k = 50.
 RECURSION_LIMIT = 120_000_000_000
 
 

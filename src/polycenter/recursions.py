@@ -58,11 +58,11 @@ def _weights(n: int, k: int, m: int, c: list, top: int):
     ways.  On x: for each x, the pair y <= b summing to total - x changes
     the run lengths only at y = x or y = b; each of those tails is one
     product, and the other tails are one dot product of c over y with c
-    over b.  On b, where
-    top < total - 2 last bounds b and leaves b fewer values than x has: for
-    each b, x runs over [max(last, total - 2b), (total - b) // 2] and
-    changes the run lengths only at x = last, y = b or x = y, with the same
-    products and one dot product of c over x with c over y.
+    over b.  On b, where top < total - 2 last bounds b and leaves b fewer
+    values than x has: for each b, x runs over [max(last, total - 2b),
+    (total - b) // 2] and changes the run lengths only at x = last, y = b
+    or x = y, with the same products and one dot product of c over x with
+    c over y.
     """
     # A sorted k-tuple summing to m starts with at least k - m zeros, and
     # c[0] = 1: place them as one run, so the walk recurses at most m levels.

@@ -121,23 +121,23 @@ class TestCentralTerms:
             # does and b has fewer values.  k = 3 closes on x at n = 3 and 5
             # and on b from n = 6; k = 4..8 close on x at m = 1 and 3, on b
             # at m = 4 and on both from m = 5, n = (k-2)m + 2.
+            (6, 3, (2, 2, 2)),  # on b: x == y == b
+            (12, 4, (3, 3, 3, 3)),  # on x: x == last == y == b
+            (17, 5, (1, 4, 4, 4, 4)),  # on x
+            (11, 3, (3, 3, 5)),  # on b: x == y below b
+            (17, 5, (1, 1, 4, 4, 7)),  # on b
+            (13, 3, (1, 6, 6)),  # on b: y == b above x
+            (12, 4, (1, 1, 5, 5)),  # on b: x == last and y == b at once, lo = last = total - 2b
             # Closed on x:
-            (12, 4, (3, 3, 3, 3)),  # x == last == y == b
-            (17, 5, (1, 4, 4, 4, 4)),
             (14, 4, (3, 3, 3, 5)),  # x == last == y < b, which needs b = total - 2 last > top
             (20, 4, (3, 5, 5, 7)),  # x == y above last
             (22, 4, (3, 5, 7, 7)),  # y == b above x
             (5, 3, (1, 2, 2)),
             # Closed on b:
-            (6, 3, (2, 2, 2)),  # x == y == b
-            (10, 4, (1, 3, 3, 3)),
-            (13, 3, (1, 6, 6)),  # y == b above x
-            (14, 4, (1, 3, 5, 5)),
-            (11, 3, (3, 3, 5)),  # x == y below b
-            (17, 5, (1, 1, 4, 4, 7)),
+            (10, 4, (1, 3, 3, 3)),  # x == y == b
+            (14, 4, (1, 3, 5, 5)),  # y == b
             (26, 4, (3, 3, 9, 11)),  # x == last
-            (12, 4, (1, 1, 5, 5)),  # x == last and y == b at once: lo = last = total - 2b
-            (17, 5, (1, 1, 1, 7, 7)),
+            (17, 5, (1, 1, 1, 7, 7)),  # x == last and y == b at once
         ],
     )
     def test_edge_families(self, n, k, shape):
@@ -145,14 +145,14 @@ class TestCentralTerms:
         assert shape in dict(terms)
         assert terms == reference_terms(n, k)
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 10, 40])
-    def test_buckets_are_the_distinct_placement_counts(self, k):
+    def test_buckets_are_the_distinct_placement_counts(self):
         # each bucket's divisor d gives one multiplicity arrangements // d,
         # and each bucket holds the sub-polygon products of the shapes with
         # that placement count.  Every admissible n <= 120 for k <= 8, m <= 8
         # above: the closings of test_edge_families, on x, on b and on both
-        ns = range(k, 121) if k <= 8 else [(k - 2) * m + 2 for m in range(1, 9)]
-        for n in ns:
+        for k, n in [(k, n) for k in range(3, 9) for n in range(k, 121)] + [
+            (k, (k - 2) * m + 2) for k in (10, 40) for m in range(1, 9)
+        ]:
             c, _, m, top = _central(n, k)
             if m is None:
                 continue
