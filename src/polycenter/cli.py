@@ -221,7 +221,9 @@ def _recursion_max(k: int, first: int) -> int:
     so T is the partitions of M - 1 into at most k parts less, for each
     value of that one index, the partitions of the rest into at most k-1
     parts.  Both counts are tabulated for x <= upto, and upto doubles until
-    the refused M is found, below 2,000 at every k.
+    the refused M is found, below 2,000 at every k.  T counts tuples one by
+    one, so it overstates the merged walk of :func:`_central_sum`, which
+    closes 2,908 states for the 3,486,475 tuples of the 3362-gon at k = 50.
     """
     upto = 64
     while True:

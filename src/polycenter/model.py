@@ -184,8 +184,8 @@ def placement_count(lengths, n: int) -> int:
     Equals n * P / k where P is the number of distinct linear arrangements of
     the multiset; the division is always exact (each subset is counted once
     per choice of starting vertex).  The recursion's term stream reads it
-    once per term; the recursion sum reads the same multiplicity from run
-    lengths instead, as one checked division per distinct divisor.
+    once per term; the recursion sum carries the same multiplicity through
+    its merged walk instead, one checked division per run that grows.
     """
     lengths = tuple(lengths)
     k = len(lengths)

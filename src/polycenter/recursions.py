@@ -7,7 +7,6 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import perm, prod
 from operator import mul
 from typing import Iterator
@@ -41,89 +40,6 @@ def bounded_partitions(
     for first in range(start, min(largest, total // parts) + 1, mod):
         for rest in bounded_partitions(total - first, parts - 1, first, largest, residue, mod):
             yield (first, *rest)
-
-
-def _weights(n: int, k: int, m: int, c: list, top: int):
-    """The terms of :func:`_central_sum` in index space, bucketed by divisor.
-
-    A side of length 1 + (k-2)j cuts off a sub-polygon with c[j] =
-    F(j, k-1) k-angulations, so a central k-gon is a sorted k-tuple of
-    indices 0 <= j <= top summing to m = (n-k)/(k-2), where top, from
-    :func:`_central`, is the largest index whose side is < n/2.  Its
-    placement multiplicity is n * k! / (k * prod(r!)) over its run lengths
-    r.  Returns ``(arrangements, weights)``: every tuple adds the product of
-    c over its indices to ``weights[d]``, where ``arrangements // d`` is its
-    multiplicity.  The walk places the indices in ascending order and
-    closes on the last three x <= y <= b, after an index last, in one of two
-    ways.  On x: for each x, the pair y <= b summing to total - x changes
-    the run lengths only at y = x or y = b; each of those tails is one
-    product, and the other tails are one dot product of c over y with c
-    over b.  On b, where top < total - 2 last bounds b and leaves b fewer
-    values than x has: for each b, x runs over [max(last, total - 2b),
-    (total - b) // 2] and changes the run lengths only at x = last, y = b
-    or x = y, with the same products and one dot product of c over x with
-    c over y.
-    """
-    # A sorted k-tuple summing to m starts with at least k - m zeros, and
-    # c[0] = 1: place them as one run, so the walk recurses at most m levels.
-    # The zeros! of that run cancels in every multiplicity, so neither k!
-    # nor zeros! is built: the numerator n * k! / zeros! is one perm.
-    zeros = min(k - 3, max(0, k - m))
-    weights = defaultdict(int)
-
-    def walk(depth, last, total, product, symmetry, run):
-        # depth indices are placed, the last is last; symmetry is k * prod(r!)
-        # / zeros! over them, the product of each index's position in its run
-        # past the leading zeros; run is the last run's length.  Up to index
-        # k-3 the walk places one index and recurses; then three indices
-        # last <= x <= y <= b remain, and it closes the tuple on b or on x.
-        if depth < k - 3:
-            for j in range(last, min(top, total // (k - depth)) + 1):
-                j_run = run + 1 if j == last else 1
-                walk(depth + 1, j, total - j, product * c[j], symmetry * j_run, j_run)
-        elif top < total - 2 * last and top + last < (total + 2) // 3 + min(top, total // 3):
-            # top bounds b, which has fewer values than x: for each b the
-            # pairs x <= y <= b sum to rest.  b > last, since b = last would
-            # need top >= total - 2 last, and so y > last.
-            for b in range((total + 2) // 3, top + 1):
-                rest, weight = total - b, product * c[b]
-                lo = max(last, rest - b)
-                hi = rest // 2
-                if lo == last:
-                    # x = last, and y = b when lo = rest - b too
-                    d = symmetry * (run + 1) * (2 if rest - last == b else 1)
-                    weights[d] += weight * c[last] * c[rest - last]
-                    lo += 1
-                if lo <= hi and lo == rest - b:
-                    # y = b, and x = b too when rest = 2b
-                    weights[symmetry * (6 if lo == b else 2)] += weight * c[lo] * c[b]
-                    lo += 1
-                if lo <= hi and 2 * hi == rest:
-                    weights[symmetry * 2] += weight * c[hi] * c[hi]
-                    hi -= 1
-                if lo <= hi:
-                    dot = sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-                    weights[symmetry] += weight * dot
-        else:
-            for x in range(last, min(top, total // 3) + 1):
-                x_run = run + 1 if x == last else 1
-                rest, weight, sym = total - x, product * c[x], symmetry * x_run
-                # the pairs x <= y <= rest - y <= top
-                lo = max(x, rest - top)
-                hi = rest // 2
-                if lo == x:
-                    d = sym * ((x_run + 1) * (x_run + 2) if 2 * x == rest else x_run + 1)
-                    weights[d] += weight * c[x] * c[rest - x]
-                    lo += 1
-                if lo <= hi and 2 * hi == rest:
-                    weights[sym * 2] += weight * c[hi] * c[hi]
-                    hi -= 1
-                if lo <= hi:
-                    dot = sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-                    weights[sym] += weight * dot
-
-    walk(zeros, 0, m, 1, k, zeros)
-    return n * perm(k, k - zeros), weights
 
 
 def _central(n: int, k: int):
@@ -173,12 +89,90 @@ def _central_terms(n: int, k: int) -> Iterator:
 
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
-    :func:`_central_terms`, with one checked division per divisor of
-    :func:`_weights` for the multiplicity shared by its bucket."""
+    :func:`_central_terms`, walked over index prefixes merged by their future.
+
+    A term is the placement multiplicity n * k! / (k * prod(r!)) of a sorted
+    k-tuple of indices, r its run lengths, times the product of c over its
+    indices.  The walk places the first k - 3 indices in ascending order,
+    one level at a time.  Prefixes with the same last index, remaining total
+    and last-run length have the same completions, so each level is one dict
+    keyed by ``(last, total, run)`` whose value sums product * n * (k-1)! /
+    prod(r!) over its prefixes, the open run included: repeating last
+    divides it exactly by run + 1.  Each state then closes on its last three
+    indices last <= x <= y <= b in one of two ways.  On x: for each x, the
+    pair y <= b summing to total - x changes the run lengths only at y = x
+    or y = b; each of those tails is one product, and the other tails are
+    one dot product of c over y with c over b.  On b, where top < total -
+    2 last bounds b and leaves b fewer values than x has: for each b, x runs
+    over [max(last, total - 2b), (total - b) // 2] and changes the run
+    lengths only at x = last, y = b or x = y, with the same products and one
+    dot product of c over x with c over y.  Each closing term divides the
+    state's value by d, which divides L = (run+1)(run+2)(run+3), so the
+    terms are summed times L/d and the state makes one checked division by L.
+    """
     c, result, m, top = _central(n, k)
-    if m is not None:
-        arrangements, weights = _weights(n, k, m - 1, c, top)
-        result += sum(_exact_div(arrangements, d) * weight for d, weight in weights.items())
+    if m is None:
+        return result
+    # A sorted k-tuple summing to m - 1 starts with at least k - m + 1 zeros,
+    # and c[0] = 1: place them as one run, so the walk has fewer than m
+    # levels.  Its value n * (k-1)! / zeros! is one perm.
+    zeros = min(k - 3, max(0, k - m + 1))
+    states = {(0, m - 1, zeros): n * perm(k - 1, k - 1 - zeros)}
+    for depth in range(zeros, k - 3):
+        merged = {}
+        for (last, total, run), value in states.items():
+            hi = min(top, total // (k - depth))
+            if last <= hi:
+                key = (last, total - last, run + 1)
+                merged[key] = merged.get(key, 0) + _exact_div(value, run + 1) * c[last]
+            for j in range(last + 1, hi + 1):
+                key = (j, total - j, 1)
+                merged[key] = merged.get(key, 0) + value * c[j]
+        states = merged
+    for (last, total, run), value in states.items():
+        scale, closed = (run + 1) * (run + 2) * (run + 3), 0
+        if top < total - 2 * last and top + last < (total + 2) // 3 + min(top, total // 3):
+            # top bounds b, which has fewer values than x: for each b the
+            # pairs x <= y <= b sum to rest.  b > last, since b = last would
+            # need top >= total - 2 last, and so y > last.
+            for b in range((total + 2) // 3, top + 1):
+                rest, tail = total - b, 0
+                lo = max(last, rest - b)
+                hi = rest // 2
+                if lo == last:
+                    # x = last, and y = b when lo = rest - b too
+                    d = (run + 1) * (2 if rest - last == b else 1)
+                    tail += c[last] * c[rest - last] * (scale // d)
+                    lo += 1
+                if lo <= hi and lo == rest - b:
+                    # y = b, and x = b too when rest = 2b
+                    tail += c[lo] * c[b] * (scale // (6 if lo == b else 2))
+                    lo += 1
+                if lo <= hi and 2 * hi == rest:
+                    tail += c[hi] * c[hi] * (scale // 2)
+                    hi -= 1
+                if lo <= hi:
+                    tail += scale * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+                closed += c[b] * tail
+        else:
+            for x in range(last, min(top, total // 3) + 1):
+                x_run = run + 1 if x == last else 1
+                rest, part, tail = total - x, scale // x_run, 0
+                # the pairs x <= y <= rest - y <= top
+                lo = max(x, rest - top)
+                hi = rest // 2
+                if lo == x:
+                    # y = x, and b = x too when rest = 2x
+                    d = (x_run + 1) * (x_run + 2) if 2 * x == rest else x_run + 1
+                    tail += c[x] * c[rest - x] * (part // d)
+                    lo += 1
+                if lo <= hi and 2 * hi == rest:
+                    tail += c[hi] * c[hi] * (part // 2)
+                    hi -= 1
+                if lo <= hi:
+                    tail += part * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+                closed += c[x] * tail
+        result += _exact_div(value * closed, scale)
     return result
 
 

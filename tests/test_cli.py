@@ -199,7 +199,7 @@ class TestVerifyCommands:
 
     def test_recursion_kang_with_k_beyond_memory(self):
         # A tuple of the k - 3 leading zero indices would not fit in memory
-        # at this k; the walk keeps only its depth.
+        # at this k; the walk holds them as one state, a run length.
         argv = ["verify", "recursion", "--kind", "kang", "--k", "10000000000", "--max", "30000000000"]
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=15

@@ -1,5 +1,6 @@
 """Central-component recursions and the fixed-vertex formulas."""
 
+import sys
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
@@ -16,6 +17,7 @@ from polycenter import (
     dyck_midpoint_uu_bruteforce,
     fixed_vertex_outside,
     fixed_vertex_outside_double_sum,
+    fuss_catalan,
     kang_recursion_rhs,
     kangulation_count,
     placement_count,
@@ -23,7 +25,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.recursions import _central, _central_sum, _central_terms, _weights, bounded_partitions
+from polycenter.recursions import _central, _central_sum, _central_terms, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -145,30 +147,6 @@ class TestCentralTerms:
         assert shape in dict(terms)
         assert terms == reference_terms(n, k)
 
-    def test_buckets_are_the_distinct_placement_counts(self):
-        # each bucket's divisor d gives one multiplicity arrangements // d,
-        # and each bucket holds the sub-polygon products of the shapes with
-        # that placement count.  Every admissible n <= 120 for k <= 8, m <= 8
-        # above: the closings of test_edge_families, on x, on b and on both
-        for k, n in [(k, n) for k in range(3, 9) for n in range(k, 121)] + [
-            (k, (k - 2) * m + 2) for k in (10, 40) for m in range(1, 9)
-        ]:
-            c, _, m, top = _central(n, k)
-            if m is None:
-                continue
-            arrangements, weights = _weights(n, k, m - 1, c, top)
-            by_count = {}
-            for shape, _ in reference_terms(n, k):
-                if shape != DIAMETER:
-                    count = placement_count(shape, n)
-                    weight = prod(kangulation_count(side + 1, k) for side in shape)
-                    by_count[count] = by_count.get(count, 0) + weight
-            assert all(arrangements % d == 0 for d in weights), (n, k)
-            assert {arrangements // d: weight for d, weight in weights.items()} == by_count, (n, k)
-            if (n, k) == (30, 3):
-                # all sides equal, two equal, all distinct
-                assert sorted(by_count) == [n // 3, n, 2 * n]
-
     @pytest.mark.parametrize("k", [10, 17, 40, 101])
     def test_sum_matches_terms_when_k_exceeds_the_index_sum(self, k):
         # at m <= 8 the k indices start with a run of at least k - m zeros:
@@ -178,16 +156,37 @@ class TestCentralTerms:
             expected = sum(count for _, count in reference_terms(n, k))
             assert _central_sum(n, k) == sum(count for _, count in _central_terms(n, k)) == expected, (n, k)
 
-    def test_buckets_do_not_grow_with_k(self):
-        # k = 10**6 indices summing to 3: the walk holds one bucket per
-        # divisor, not one entry per index.  Index 2 is the diameter, so
-        # top is 1 and the one cell is k - 3 zeros and three ones
+    def test_sum_at_a_k_beyond_any_tuple(self):
+        # k = 10**6 indices summing to 3: index 2 is the diameter, so top is
+        # 1 and the one cell is k - 3 zeros and three ones, whose leading
+        # zeros are one state, never a tuple of k indices
         n, k = (10**6 - 2) * 4 + 2, 10**6
-        c, _, m, top = _central(n, k)
+        c, diameter, m, top = _central(n, k)
         assert (m - 1, top) == (3, 1)
-        arrangements, weights = _weights(n, k, m - 1, c, top)
-        assert len(weights) <= 5
-        assert sum(arrangements // d * w for d, w in weights.items()) == n * (k - 1) * (k - 2) // 6
+        assert _central_sum(n, k) - diameter == n * (k - 1) * (k - 2) // 6
+
+    @pytest.mark.parametrize("k,most", [(20, 50), (50, 45), (200, 40)])
+    def test_merged_prefixes(self, k, most):
+        # above m = 12 many prefixes share their last index, remaining total
+        # and last-run length, and the walk merges them into one state
+        for m in range(1, most + 1):
+            n = (k - 2) * m + 2
+            assert _central_sum(n, k) == fuss_catalan(m, k - 1), (n, k)
+            if m <= 12:
+                assert _central_sum(n, k) == sum(count for _, count in _central_terms(n, k)), (n, k)
+
+    def test_walk_does_not_recurse(self):
+        # the walk once recursed one frame per index, 47 deep at (3362, 50);
+        # 25 frames above the caller leave it no room to
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            assert _central_sum(3362, 50) == fuss_catalan(70, 49)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestCentralRecursion:
