@@ -82,15 +82,16 @@ RENDER_LIMIT = 250_000
 COUNT_LIMIT = 425_000
 
 #: Most units of work that one verify recursion run may do.  Its last case,
-#: the polygon of Fuss-Catalan index M, walks about T sorted k-tuples of
-#: indices and multiplies bigints of about B bits, so the run costs about
+#: the polygon of Fuss-Catalan index M, is costed as T sorted k-tuples of
+#: indices times bigints of about B bits, so the run costs about
 #: T * B * cases units (see _recursion_max).  A run at the limit does 1.1
-#: to 1.2e11 units and took 0.5 to 1.3e-10 s a unit on CPython 3.11
-#: (central --max 1000: 4.1e10 units, 2.2 s), so it ends within about 30 s.
-#: The largest admitted --max is 1304 for central (6.2 to 6.3 s), 414 for
-#: quad (5.3 to 6.2 s) and 688 for kang --k 5 (5.9 to 7.4 s); at k = 10,
-#: 50 and 200,000 a run at the limit took 8.0 to 15.1 s, the slowest at
-#: k = 50.
+#: to 1.2e11 units, and at k <= 5 took 0.5 to 1.3e-10 s a unit on CPython
+#: 3.11 (central --max 1000: 4.1e10 units, 2.2 s), so it ends within about
+#: 30 s.  At k >= 6 the merged walk of _central_sum does far less work
+#: than T tuples.  Whole CLI runs at the largest admitted --max, on a
+#: shared 2-vCPU host: 1304 for central 7.5 to 9.3 s, 414 for quad 6.4 to
+#: 7.9 s, 688 for kang --k 5 7.6 to 8.3 s, kang --k 6 3.3 to 3.7 s, and
+#: kang at k = 10, 50, 200 and 200,000 0.9 to 1.4 s.
 RECURSION_LIMIT = 120_000_000_000
 
 

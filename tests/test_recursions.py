@@ -161,14 +161,15 @@ class TestCentralTerms:
         # 1 and the one cell is k - 3 zeros and three ones, whose leading
         # zeros are one state, never a tuple of k indices
         n, k = (10**6 - 2) * 4 + 2, 10**6
-        c, diameter, m, top = _central(n, k)
+        _, diameter, m, top = _central(n, k)
         assert (m - 1, top) == (3, 1)
         assert _central_sum(n, k) - diameter == n * (k - 1) * (k - 2) // 6
 
     @pytest.mark.parametrize("k,most", [(20, 50), (50, 45), (200, 40)])
     def test_merged_prefixes(self, k, most):
-        # above m = 12 many prefixes share their last index, remaining total
-        # and last-run length, and the walk merges them into one state
+        # up to k - 3 levels, where many prefixes share their last index,
+        # remaining total and last-run length and merge into one state;
+        # term by term where the term stream is small
         for m in range(1, most + 1):
             n = (k - 2) * m + 2
             assert _central_sum(n, k) == fuss_catalan(m, k - 1), (n, k)
@@ -176,8 +177,8 @@ class TestCentralTerms:
                 assert _central_sum(n, k) == sum(count for _, count in _central_terms(n, k)), (n, k)
 
     def test_walk_does_not_recurse(self):
-        # the walk once recursed one frame per index, 47 deep at (3362, 50);
-        # 25 frames above the caller leave it no room to
+        # a walk that took one frame per index would need 47 at (3362, 50),
+        # more than the 25 left above the caller
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
