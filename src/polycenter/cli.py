@@ -85,13 +85,14 @@ COUNT_LIMIT = 425_000
 #: the polygon of Fuss-Catalan index M, is costed as T sorted k-tuples of
 #: indices times bigints of about B bits, so the run costs about
 #: T * B * cases units (see _recursion_max).  A run at the limit does 1.1
-#: to 1.2e11 units, and at k <= 5 took 0.5 to 1.3e-10 s a unit on CPython
-#: 3.11 (central --max 1000: 4.1e10 units, 2.2 s), so it ends within about
-#: 30 s.  At k >= 6 the merged walk of _central_sum does far less work
-#: than T tuples.  Whole CLI runs at the largest admitted --max, on a
-#: shared 2-vCPU host: 1304 for central 7.5 to 9.3 s, 414 for quad 6.4 to
-#: 7.9 s, 688 for kang --k 5 7.6 to 8.3 s, kang --k 6 3.3 to 3.7 s, and
-#: kang at k = 10, 50, 200 and 200,000 0.9 to 1.4 s.
+#: to 1.2e11 units, and when the model was sized a unit at k <= 5 took 0.5
+#: to 1.3e-10 s on CPython 3.11 (central --max 1000: 4.1e10 units, 2.2 s),
+#: so a run ends within about 30 s.  At k >= 4 _central_sum now takes one
+#: packed power per case, far less work than T tuples.  Whole CLI runs at
+#: the largest admitted --max, on a shared 2-vCPU host: 1304 for central
+#: 7.9 to 9.6 s, 414 for quad 2.7 to 2.8 s, 833 for kang --k 4 2.9 to
+#: 4.1 s, 688 for kang --k 5 0.5 to 0.8 s, kang --k 6 0.2 to 0.3 s, kang
+#: at k = 10, 50 and 200 about 0.1 s and at k = 200,000 0.4 to 0.5 s.
 RECURSION_LIMIT = 120_000_000_000
 
 
@@ -223,8 +224,9 @@ def _recursion_max(k: int, first: int) -> int:
     value of that one index, the partitions of the rest into at most k-1
     parts.  Both counts are tabulated for x <= upto, and upto doubles until
     the refused M is found, below 2,000 at every k.  T counts tuples one by
-    one, so it overstates the merged walk of :func:`_central_sum`, which
-    closes 2,908 states for the 3,486,475 tuples of the 3362-gon at k = 50.
+    one, so at k >= 4 it overstates :func:`_central_sum`, whose packed
+    power makes at most 2 log2 k products of ints of at most M slots: seven
+    at the 3362-gon at k = 50, against 3,486,475 tuples.
     """
     upto = 64
     while True:
@@ -250,6 +252,8 @@ def _verify_recursion(args) -> int:
     The kang cases start at m = 2, where the polygon first exceeds one
     cell, the others at m = 1.  Case m prints n = step * m + start: m itself
     for quad, else the polygon.  Only kang takes --k, 3 when it is absent.
+    A --max below the first case is refused: a run that checks nothing
+    does not pass.
     """
     k = {"central": 3, "quad": 4}.get(args.kind, 3)
     if args.k is not None:
@@ -262,6 +266,8 @@ def _verify_recursion(args) -> int:
     if k < 3:
         raise ValueError("k must be >= 3")
     cases = range(first, (args.max - start) // step + 1)
+    if not cases:
+        raise ValueError(f"max={args.max} holds no case; the first is n={step * first + start}")
     for m in cases:
         n, rhs, expected = step * m + start, _central_sum((k - 2) * m + 2, k), fuss_catalan(m, k - 1)
         if rhs != expected:

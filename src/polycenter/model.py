@@ -184,8 +184,8 @@ def placement_count(lengths, n: int) -> int:
     Equals n * P / k where P is the number of distinct linear arrangements of
     the multiset; the division is always exact (each subset is counted once
     per choice of starting vertex).  The recursion's term stream reads it
-    once per term; the recursion sum carries the same multiplicity through
-    its merged walk instead, one checked division per run that grows.
+    once per term; the recursion sum reads every term's P at once, as the
+    count of ordered index tuples, and divides n times it by k once.
     """
     lengths = tuple(lengths)
     k = len(lengths)

@@ -7,7 +7,7 @@ brute-force checks in :mod:`polycenter.enumeration`.
 
 from __future__ import annotations
 
-from math import perm, prod
+from math import comb, prod
 from operator import mul
 from typing import Iterator
 
@@ -89,91 +89,80 @@ def _central_terms(n: int, k: int) -> Iterator:
 
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
-    :func:`_central_terms`, walked over index prefixes merged by their future.
+    :func:`_central_terms`, read as one coefficient of a power.
 
     A term is the placement multiplicity n * k! / (k * prod(r!)) of a sorted
     k-tuple of indices, r its run lengths, times the product of c over its
-    indices.  The walk places the first k - 3 indices in ascending order,
-    one level at a time.  Prefixes with the same last index, remaining total
-    and last-run length have the same completions, so each level is one dict
-    keyed by ``(last, total, run)`` whose value sums product * n * (k-1)! /
-    prod(r!) over its prefixes, the open run included: repeating last
-    divides it exactly by run + 1.  Each state then closes on its last three
-    indices last <= x <= y <= b in one of two ways.  On x: for each x, the
-    pair y <= b summing to total - x changes the run lengths only at y = x
-    or y = b; each of those tails is one product, and the other tails are
-    one dot product of c over y with c over b.  On b, where top < total -
-    2 last bounds b and leaves b fewer values than x has: for each b, x runs
-    over [max(last, total - 2b), (total - b) // 2] and changes the run
-    lengths only at x = last, y = b or x = y, with the same products and one
-    dot product of c over x with c over y.  Each closing term divides the
-    state's value by d, which divides L = (run+1)(run+2)(run+3), so the
-    terms are summed times L/d and the state makes one checked division by L.
+    indices.  k! / prod(r!) counts the orderings of the tuple, so the sum is
+    n/k times the coefficient of t^T, T = m - 1, in P(t)^k with P(t) the sum
+    of c[j] t^j over j <= top.  For k >= 4, P is packed into one int, one
+    slot of w bits per index, and raised to the k-th power by
+    square-and-multiply, each product masked to its low T + 1 slots
+    (Kronecker substitution).  A coefficient at index i <= T of P^j, j <= k,
+    counts j-forests of (k-1)-ary trees with i internal nodes, which their
+    preorder node types encode, so it is at most comb((k-1)i + j, i) <=
+    comb((k-1)T + k, T) < 2^(w-1).  Carries only move upward, so the masked
+    slots stay exact, and slot T is read with one checked division by k.
+    For k = 3 the power costs more than closing the triples directly.
     """
     c, result, m, top = _central(n, k)
     if m is None:
         return result
-    # A sorted k-tuple summing to m - 1 starts with at least k - m + 1 zeros,
-    # and c[0] = 1: place them as one run, so the walk has fewer than m
-    # levels.  Its value n * (k-1)! / zeros! is one perm.
-    zeros = min(k - 3, max(0, k - m + 1))
-    states = {(0, m - 1, zeros): n * perm(k - 1, k - 1 - zeros)}
-    for depth in range(zeros, k - 3):
-        merged = {}
-        for (last, total, run), value in states.items():
-            hi = min(top, total // (k - depth))
-            if last <= hi:
-                key = (last, total - last, run + 1)
-                merged[key] = merged.get(key, 0) + _exact_div(value, run + 1) * c[last]
-            for j in range(last + 1, hi + 1):
-                key = (j, total - j, 1)
-                merged[key] = merged.get(key, 0) + value * c[j]
-        states = merged
-    for (last, total, run), value in states.items():
-        scale, closed = (run + 1) * (run + 2) * (run + 3), 0
-        if top < total - 2 * last and top + last < (total + 2) // 3 + min(top, total // 3):
-            # top bounds b, which has fewer values than x: for each b the
-            # pairs x <= y <= b sum to rest.  b > last, since b = last would
-            # need top >= total - 2 last, and so y > last.
-            for b in range((total + 2) // 3, top + 1):
-                rest, tail = total - b, 0
-                lo = max(last, rest - b)
-                hi = rest // 2
-                if lo == last:
-                    # x = last, and y = b when lo = rest - b too
-                    d = (run + 1) * (2 if rest - last == b else 1)
-                    tail += c[last] * c[rest - last] * (scale // d)
-                    lo += 1
-                if lo <= hi and lo == rest - b:
-                    # y = b, and x = b too when rest = 2b
-                    tail += c[lo] * c[b] * (scale // (6 if lo == b else 2))
-                    lo += 1
-                if lo <= hi and 2 * hi == rest:
-                    tail += c[hi] * c[hi] * (scale // 2)
-                    hi -= 1
-                if lo <= hi:
-                    tail += scale * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-                closed += c[b] * tail
-        else:
-            for x in range(last, min(top, total // 3) + 1):
-                x_run = run + 1 if x == last else 1
-                rest, part, tail = total - x, scale // x_run, 0
-                # the pairs x <= y <= rest - y <= top
-                lo = max(x, rest - top)
-                hi = rest // 2
-                if lo == x:
-                    # y = x, and b = x too when rest = 2x
-                    d = (x_run + 1) * (x_run + 2) if 2 * x == rest else x_run + 1
-                    tail += c[x] * c[rest - x] * (part // d)
-                    lo += 1
-                if lo <= hi and 2 * hi == rest:
-                    tail += c[hi] * c[hi] * (part // 2)
-                    hi -= 1
-                if lo <= hi:
-                    tail += part * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-                closed += c[x] * tail
-        result += _exact_div(value * closed, scale)
-    return result
+    total = m - 1
+    if k > 3:
+        width = comb((k - 1) * total + k, total).bit_length() + 1
+        mask = (1 << width * m) - 1
+        base = sum(x << width * j for j, x in enumerate(c[: top + 1]))
+        power = base
+        for bit in bin(k)[3:]:
+            power = power * power & mask
+            if bit == "1":
+                power = power * base & mask
+        return result + _exact_div(n * (power >> width * total), k)
+    # The triples x <= y <= b summing to total, each weighted by its
+    # 6 / prod(r!) orderings.  For each x, the pairs y <= b summing to
+    # total - x are one product where y equals x or b and one dot product of
+    # c over y with c over b otherwise.  Where top < total bounds b and
+    # leaves it fewer values than x has, the loop runs over b instead, and
+    # the pairs x <= y are one product where x is 0, y equals b or x equals
+    # y and one dot product otherwise.
+    closed = 0
+    if top < total and top < (total + 2) // 3 + min(top, total // 3):
+        # top bounds b, which has fewer values than x: for each b the pairs
+        # x <= y <= b sum to rest = total - b > 0, so y > 0
+        for b in range((total + 2) // 3, top + 1):
+            rest, tail = total - b, 0
+            lo, hi = max(0, rest - b), rest // 2
+            if lo == 0:
+                # x = 0, and y = b when rest = b
+                tail += c[rest] * (3 if rest == b else 6)
+                lo = 1
+            if lo <= hi and lo == rest - b:
+                # y = b, and x = b too when rest = 2b
+                tail += c[lo] * c[b] * (1 if lo == b else 3)
+                lo += 1
+            if lo <= hi and 2 * hi == rest:
+                tail += c[hi] * c[hi] * 3
+                hi -= 1
+            if lo <= hi:
+                tail += 6 * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+            closed += c[b] * tail
+    else:
+        for x in range(min(top, total // 3) + 1):
+            # the pairs x <= y <= rest - y <= top
+            rest, tail = total - x, 0
+            lo, hi = max(x, rest - top), rest // 2
+            if lo == x:
+                # y = x, and b = x too when rest = 2x
+                tail += c[x] * c[rest - x] * (1 if 2 * x == rest else 3)
+                lo += 1
+            if lo <= hi and 2 * hi == rest:
+                tail += c[hi] * c[hi] * 3
+                hi -= 1
+            if lo <= hi:
+                tail += 6 * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+            closed += c[x] * tail
+    return result + _exact_div(n * closed, 3)
 
 
 def central_recursion_rhs(n: int) -> int:

@@ -248,10 +248,20 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err == "error: max must be >= 0\n"
 
-    @pytest.mark.parametrize("kind", ["central", "quad", "kang"])
-    def test_recursion_empty_range_reports_zero_cases(self, capsys, kind):
-        assert run(["verify", "recursion", "--kind", kind, "--max", "0"]) == 0
-        assert capsys.readouterr().out == "verified 0 cases\n"
+    @pytest.mark.parametrize(
+        "command, first",
+        [
+            (["--kind", "central", "--max", "2"], 3),
+            (["--kind", "quad", "--max", "0"], 1),
+            (["--kind", "kang", "--k", "100", "--max", "50"], 198),
+        ],
+        ids=["central", "quad", "kang"],
+    )
+    def test_recursion_refuses_a_range_with_no_case(self, capsys, command, first):
+        assert run(["verify", "recursion", *command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max={command[-1]} holds no case; the first is n={first}\n"
 
     def test_congruence_json(self, capsys):
         assert run(["verify", "congruence", "--theorem", "odd", "--max", "100", "--json"]) == 0

@@ -3,7 +3,7 @@
 import sys
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -118,11 +118,11 @@ class TestCentralTerms:
     @pytest.mark.parametrize(
         "n, k, shape",
         [
-            # The walk closes the last three indices x <= y <= b after an
-            # index last, on x where top does not bound b and on b where it
-            # does and b has fewer values.  k = 3 closes on x at n = 3 and 5
-            # and on b from n = 6; k = 4..8 close on x at m = 1 and 3, on b
-            # at m = 4 and on both from m = 5, n = (k-2)m + 2.
+            # Shapes where runs of equal indices start or end.  The labels
+            # say where each falls when the last three indices x <= y <= b
+            # are closed after an index last: on x, or on b where top bounds
+            # b and leaves it fewer values.  The k = 3 sum still closes that
+            # way, on x at n = 3 and 5 and on b from n = 6.
             (6, 3, (2, 2, 2)),  # on b: x == y == b
             (12, 4, (3, 3, 3, 3)),  # on x: x == last == y == b
             (17, 5, (1, 4, 4, 4, 4)),  # on x
@@ -158,8 +158,8 @@ class TestCentralTerms:
 
     def test_sum_at_a_k_beyond_any_tuple(self):
         # k = 10**6 indices summing to 3: index 2 is the diameter, so top is
-        # 1 and the one cell is k - 3 zeros and three ones, whose leading
-        # zeros are one state, never a tuple of k indices
+        # 1 and the one cell is k - 3 zeros and three ones, read from slot 3
+        # of a power of two packed slots, never a tuple of k indices
         n, k = (10**6 - 2) * 4 + 2, 10**6
         _, diameter, m, top = _central(n, k)
         assert (m - 1, top) == (3, 1)
@@ -167,13 +167,29 @@ class TestCentralTerms:
 
     @pytest.mark.parametrize("k,most", [(20, 50), (50, 45), (200, 40)])
     def test_merged_prefixes(self, k, most):
-        # up to k - 3 levels, where many prefixes share their last index,
-        # remaining total and last-run length and merge into one state;
+        # many sorted tuples share one coefficient of the packed power;
         # term by term where the term stream is small
         for m in range(1, most + 1):
             n = (k - 2) * m + 2
             assert _central_sum(n, k) == fuss_catalan(m, k - 1), (n, k)
             if m <= 12:
+                assert _central_sum(n, k) == sum(count for _, count in _central_terms(n, k)), (n, k)
+
+    @pytest.mark.parametrize("k", range(4, 10))
+    def test_slot_holds_every_power_coefficient(self, k):
+        # The packed power keeps slots 0..T of each P^j, j <= k, and a slot
+        # one bit wider than comb((k-1)T + k, T) must hold every one of
+        # them, whatever top cuts P off at.  P^j is convolved with plain lists.
+        c = sequences._fuss_catalan_prefix(12, k - 1)
+        for total in range(13):
+            bits = comb((k - 1) * total + k, total).bit_length() + 1
+            power = p = c[: total + 1]
+            assert max(p) < 2**bits
+            for j in range(2, k + 1):
+                power = [sum(power[i] * p[d - i] for i in range(d + 1)) for d in range(total + 1)]
+                assert max(power) < 2**bits, (k, total, j)
+        for n in range(k + 1, 121):
+            if sequences._fuss_index(n, k) is not None:
                 assert _central_sum(n, k) == sum(count for _, count in _central_terms(n, k)), (n, k)
 
     def test_walk_does_not_recurse(self):
@@ -226,14 +242,14 @@ class TestKangRecursion:
             n += k - 2
 
     def test_large_k_walks_a_shallow_stack(self):
-        # 2000 indices summing to 1: the 1998 leading zeros are placed as
-        # one run, so the walk does not recurse once per index
+        # 2000 indices summing to 1: the power squares two packed slots
+        # 11 times and never lists the 1999 zeros of a tuple
         assert kang_recursion_rhs(3998, 2000) == kangulation_count(3998, 2000) == 1999
 
     def test_large_k_builds_no_ratio(self, monkeypatch):
         # The one ratio stepped is F(1)/F(0) = (1, 1), and the placement
-        # multiplicity divides the leading zeros' factorial away: a huge k
-        # whose cells have indices summing to 1 builds nothing of size k
+        # multiplicity is the one factor n/k: a huge k whose cells have
+        # indices summing to 1 builds nothing of size k
         calls = []
 
         def counted(m, k):
@@ -247,7 +263,7 @@ class TestKangRecursion:
         assert calls == [(0, 199999, (1, 1))]
 
     def test_large_k_holds_no_index_tuple(self, monkeypatch):
-        # The walk tracks its depth as an int: nothing it holds grows with k
+        # The power holds m packed slots: nothing it holds grows with k
         monkeypatch.setattr(sequences, "_prefixes", {})
         n, k = 3 * 10**6 - 4, 10**6
         tracemalloc.start()
