@@ -279,8 +279,9 @@ def _verify_recursion(args) -> int:
 
 
 def _verify_congruence(args) -> int:
+    """Sweep the theorem up to --max; a --max below the first case is refused, as in verify recursion."""
     _admit("max", args.max, CONGRUENCE_LIMIT)
-    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k)
+    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k, refuse_empty=True)
     if report.passed:
         return _print_report(report, args, f"{args.theorem}: verified up to n={args.max}")
     return _print_report(report, args, f"{args.theorem}: counterexample {report.counterexample}")

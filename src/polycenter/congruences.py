@@ -7,14 +7,15 @@ indices, the predicted residues and the actual ones are three parallel
 streams (a range, a map or a repeat, and a generator of bare residues), so
 a checked index builds no tuple or dict: only the first mismatch becomes
 one.  The actual residues are computed exactly, never predicted: one sweep
-steps the Fuss-Catalan ratio F(m+1)/F(m) of ``sequences._ratio``, which
-the exact prefix table also steps, in the form F(m) = p**v * num / den,
-with v the exact p-adic valuation and the p-free num and den kept mod
-p**e, so no value grows with the range.  Each side of the ratio is one
-binomial, which holds only a few factors of p, so stripping them costs a
-few divisions.  The sparse mod-p sweeps first read v at each checked index
-from Legendre's formula (``sequences._fuss_valuation``) and step only to an
-index whose v is below e, which no passing run has.
+reads the Fuss-Catalan ratios F(m+1)/F(m) from one ``sequences._ratios``
+stream, the stream the exact prefix table also reads, and steps
+F(m) = p**v * num / den, with v the exact p-adic valuation and the p-free
+num and den kept mod p**e, so no value grows with the range.  Each side of
+the ratio is one binomial, which holds only a few factors of p, so
+stripping them costs a few divisions.  The sparse mod-p sweeps first read v
+at each checked index from Legendre's formula
+(``sequences._fuss_valuation``) and step only to an index whose v is below
+e, which no passing run has.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
-from .sequences import _fuss_valuation, _ratio
+from .sequences import _fuss_valuation, _ratios
 
 
 class Theorem(Enum):
@@ -133,9 +134,10 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
     """fuss_catalan(m, k) % p**e for each m of the increasing range ms, in order, from one exact sweep.
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
-    num, den prime to p and reduced mod q = p**e.  Each step strips the
-    powers of p from the numerator and denominator of _ratio(m, k) into v
-    and multiplies the rests into num and den.  Each side is one binomial,
+    num, den prime to p and reduced mod q = p**e.  Each step takes the
+    next ratio of one _ratios(k) stream, strips the powers of p from its
+    numerator and denominator into v and multiplies the rests into num
+    and den.  Each side is one binomial,
     so by Kummer's theorem it holds at most v_p(k) + log_p(km + k) factors
     of p, and the strip loops run a few times a step.  den is inverted only
     at the indices of ms, so every step costs a few operations on numbers
@@ -149,6 +151,7 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
     """
     q = p**e
     v, num, den, m = 0, 1, 1, 0
+    ratios = _ratios(k)
     for target in ms:
         legendre = None
         if target > m + 1:
@@ -157,7 +160,7 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
                 yield 0
                 continue
         while m < target:
-            top, bottom = _ratio(m, k)
+            top, bottom = next(ratios)
             while top % p == 0:
                 top //= p
                 v += 1
@@ -176,12 +179,16 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
         yield 0 if v >= e else p**v * num * pow(den, -1, q) % q
 
 
-def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None) -> VerificationReport:
+def verify_congruence(
+    theorem: Theorem, max_n: int, p: int = None, k: int = None, *, refuse_empty: bool = False
+) -> VerificationReport:
     """Sweep the theorem's parameter range up to max_n and report pass/fail.
 
     The mod-p theorems are one-directional: only the indices for which the
     theorem predicts residue 0 are checked.  The sweep stops at the last
-    checked index.
+    checked index.  A max_n below the first checked index gives a passing
+    report of 0 cases, or with refuse_empty raises ValueError naming that
+    index, before any work.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -215,4 +222,6 @@ def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None
         expected, residues = repeat(0), _fuss_catalan_residues(ms, k - 1, p=p, e=1)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
+    if refuse_empty and not ns:
+        raise ValueError(f"max={max_n} holds no case; the first is n={ns.start}")
     return VerificationReport(theorem, bounds, *_first_mismatch("n", ns, expected, residues))

@@ -10,8 +10,9 @@ in closed forms are checked to be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, count, islice, repeat
 from math import comb, isqrt
+from operator import mul
 
 
 def _integral(x) -> int | None:
@@ -47,8 +48,8 @@ def fuss_catalan(n: int, k: int) -> int:
     return _exact_div(comb(k * n, n), (k - 1) * n + 1)
 
 
-def _ratio(m: int, k: int) -> tuple:
-    """F(m+1)/F(m) with parameter k as (numerator, denominator), shared factors cancelled.
+def _ratios(k: int, start: int = 0):
+    """F(m+1)/F(m) with parameter k as (numerator, denominator) for m = start, start + 1, ..., shared factors cancelled.
 
     F(m, k) = (km)! / (m! ((k-1)m + 1)!), so the ratio is (km+1)...(km+k)
     over (m+1) times ((k-1)m+2)...((k-1)m+k).  km+k = k(m+1) cancels the
@@ -60,11 +61,24 @@ def _ratio(m: int, k: int) -> tuple:
     at most floor(log_p a) times, so the numerator holds at most
     v_p(k) + floor(log_p(km + k - 1)) factors of p and the denominator at
     most floor(log_p((k-1)m + s + 1)).
+
+    The stream is built of maps over ranges (1 <= m < k, where s = m - 1
+    and the denominator is C(km, m - 1)) and over counts (m >= k, where
+    s = k - 1), so a step calls no Python function.  Nothing is built
+    ahead, and a stream started at any index begins there: at any k it
+    holds a few ints.
     """
-    if m == 0:
-        return 1, 1
-    s = m - 1 if m < k else k - 1  # min(m, k) - 1 without a call per step
-    return k * comb(k * m + k - 1, s), comb((k - 1) * m + s + 1, s)
+    low, high = max(start, 1), max(start, k)
+    rising = range(low - 1, k - 1)  # s = m - 1 for m = low, ..., k - 1
+    below_k = zip(
+        map(mul, repeat(k), map(comb, range(k * low + k - 1, k * k + k - 1, k), rising)),
+        map(comb, range(k * low, k * k, k), rising),
+    )
+    from_k = zip(
+        map(mul, repeat(k), map(comb, count(k * high + k - 1, k), repeat(k - 1))),
+        map(comb, count((k - 1) * high + k, k - 1), repeat(k - 1)),
+    )
+    return chain(repeat((1, 1), start == 0), below_k, from_k)
 
 
 def _fuss_valuation(m: int, k: int, p: int) -> int:
@@ -94,8 +108,8 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
 
     The one exact stepper of the Fuss-Catalan numbers.  The values come
     from one grow-only table per k, shared by the central recursions and
-    the fixed-vertex forms: a request past the end of the table steps the
-    ratio F(m+1)/F(m) of _ratio(m, k) on from where it ends, with every
+    the fixed-vertex forms: a request past the end of the table reads the
+    ratios F(m+1)/F(m) of _ratios(k, start) from where it ends, with every
     division checked, so each F(m) is computed once per process.  A table
     starts at F(0) = 1, and each step is one binomial a side, so a small
     index costs little at any k.  The table for k is never longer than the
@@ -106,8 +120,7 @@ def _fuss_catalan_prefix(max_m: int, k: int) -> list:
         # A grown copy replaces the list, so no caller, in any thread, sees a
         # table that is half extended or extended twice from one end.
         grown, value = table.copy(), table[-1]
-        for m in range(len(table) - 1, max_m):
-            num, den = _ratio(m, k)
+        for num, den in islice(_ratios(k, len(table) - 1), max_m + 1 - len(table)):
             value = _exact_div(value * num, den)
             grown.append(value)
         _prefixes[k] = table = grown

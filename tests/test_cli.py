@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from itertools import count
+from itertools import count, repeat
 from math import ceil, comb, log2
 from pathlib import Path
 
@@ -285,12 +285,23 @@ class TestVerifyCommands:
         )
         assert captured.err == ""
 
-    def test_congruence_vacuous_range_reports_zero_cases(self, capsys):
-        argv = ["verify", "congruence", "--theorem", "modp", "--p", "101", "--max", "50"]
-        assert run(argv + ["--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["cases"] == 0
-        assert run(argv) == 0
-        assert capsys.readouterr().out == "modp: verified up to n=50\n"
+    @pytest.mark.parametrize(
+        "command, first",
+        [
+            (["--theorem", "modp", "--p", "101", "--max", "50", "--json"], 99),
+            (["--theorem", "kangp", "--p", "3", "--k", str(10**20), "--max", "10000000"], 2 * 10**20 - 2),
+        ],
+        ids=["modp", "kangp"],
+    )
+    def test_congruence_refuses_a_range_with_no_case(self, capsys, command, first):
+        # A sweep that checks nothing does not pass.  The first index is the
+        # first of the range the sweep would check: 99 = 101 - 2 for modp,
+        # and for kangp the polygon (k-2)m + 2 whose m = -2/(k-2) mod 3 is 2.
+        assert run(["verify", "congruence", *command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        max_n = command[command.index("--max") + 1]
+        assert captured.err == f"error: max={max_n} holds no case; the first is n={first}\n"
 
     def test_congruence_kangp_refused_when_p_divides_k_minus_2(self, capsys):
         # No n = 999m + 2 is divisible by 3, so no --max would check a case.
@@ -308,8 +319,12 @@ class TestVerifyCommands:
         assert run(["verify", "congruence", "--theorem", "modp", "--p", "4", "--max", "100"]) == 2
 
     def test_congruence_large_prime(self, capsys):
-        assert run(["verify", "congruence", "--theorem", "modp", "--p", "1000000000000000003", "--max", "10"]) == 0
-        assert capsys.readouterr().out == "modp: verified up to n=10\n"
+        # The prime is admitted, so the range is what is refused: its first
+        # case, p - 2, lies above every --max the command accepts.
+        assert run(["verify", "congruence", "--theorem", "modp", "--p", "1000000000000000003", "--max", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max=10 holds no case; the first is n=1000000000000000001\n"
 
     def test_congruence_prime_beyond_bound(self, capsys):
         assert run(["verify", "congruence", "--theorem", "modp", "--p", str(2**89 - 1), "--max", "10"]) == 2
@@ -976,7 +991,7 @@ class TestInternalError:
 
     def test_negative_valuation_in_residue_sweep_exits_3(self, monkeypatch, capsys):
         # A ratio that divides by 2 at every step drives v_2 below zero.
-        monkeypatch.setattr("polycenter.congruences._ratio", lambda m, k: (1, 2))
+        monkeypatch.setattr("polycenter.congruences._ratios", lambda k, start=0: repeat((1, 2)))
         assert run(["verify", "congruence", "--theorem", "odd", "--max", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -998,7 +1013,7 @@ class TestInternalError:
         # An inexact ratio is a broken invariant, not bad input.  The
         # recursion sweep reports the cases before the first ratio step.
         monkeypatch.setattr("polycenter.sequences._prefixes", {})
-        monkeypatch.setattr("polycenter.sequences._ratio", lambda m, k: (1, 3))
+        monkeypatch.setattr("polycenter.sequences._ratios", lambda k, start=0: repeat((1, 3)))
         assert run(argv) == 3
         captured = capsys.readouterr()
         assert "verified" not in captured.out

@@ -16,7 +16,7 @@ from polycenter import (
     verify_congruence,
 )
 from polycenter.congruences import _PRIME_TEST_LIMIT, _first_mismatch, _fuss_catalan_residues, is_prime
-from polycenter.sequences import _fuss_valuation, _ratio
+from polycenter.sequences import _fuss_valuation, _ratios
 
 
 class TestPredictors:
@@ -209,6 +209,25 @@ class TestCasesChecked:
                 assert report.passed
                 assert report.cases == len(kangp_indices(p, k, max_n)), (p, k, max_n)
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_refuse_empty_names_the_first_case(self, p):
+        # refuse_empty changes only a range of 0 cases, into a ValueError
+        # that names the theorem's first index.
+        sweeps = [(Theorem.MODP_CATALAN, {"p": p}, modp_indices(p, 10**4)[0])]
+        sweeps += [
+            (Theorem.MODP_KANGULATION, {"p": p, "k": k}, kangp_indices(p, k, 10**4)[0])
+            for k in range(3, 9)
+            if k % p and (k - 2) % p
+        ]
+        for theorem, params, first in sweeps:
+            for max_n in self.MAX_NS:
+                report = verify_congruence(theorem, max_n, **params)
+                if report.cases:
+                    assert verify_congruence(theorem, max_n, **params, refuse_empty=True) == report
+                    continue
+                with pytest.raises(ValueError, match=f"^max={max_n} holds no case; the first is n={first}$"):
+                    verify_congruence(theorem, max_n, **params, refuse_empty=True)
+
     def test_dense_counts(self):
         for max_n in self.MAX_NS:
             assert verify_congruence(Theorem.ODD_CHARACTERIZATION, max_n).cases == max_n + 1
@@ -355,17 +374,19 @@ class TestLegendre:
 
 
 class TestSteps:
-    """The sweep steps _ratio only up to a target whose Legendre valuation is below e."""
+    """The sweep reads _ratios only up to a target whose Legendre valuation is below e."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
+        # The index m of each ratio the sweep takes from its stream
         stepped = []
 
-        def counted(m, k):
-            stepped.append(m)
-            return _ratio(m, k)
+        def counted(k, start=0):
+            for m, ratio in enumerate(_ratios(k, start), start):
+                stepped.append(m)
+                yield ratio
 
-        monkeypatch.setattr(polycenter.congruences, "_ratio", counted)
+        monkeypatch.setattr(polycenter.congruences, "_ratios", counted)
         return stepped
 
     def test_passing_modp_steps_nothing(self, steps):

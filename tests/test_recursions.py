@@ -250,13 +250,14 @@ class TestKangRecursion:
         # indices summing to 1 builds nothing of size k
         calls = []
 
-        def counted(m, k):
-            calls.append((m, k, ratio(m, k)))
-            return calls[-1][2]
+        def counted(k, start=0):
+            for m, pair in enumerate(ratios(k, start), start):
+                calls.append((m, k, pair))
+                yield pair
 
-        ratio = sequences._ratio
+        ratios = sequences._ratios
         monkeypatch.setattr(sequences, "_prefixes", {})
-        monkeypatch.setattr(sequences, "_ratio", counted)
+        monkeypatch.setattr(sequences, "_ratios", counted)
         assert kang_recursion_rhs(399998, 200000) == kangulation_count(399998, 200000)
         assert calls == [(0, 199999, (1, 1))]
 
@@ -323,15 +324,16 @@ class TestFixedVertex:
         # central recursion to n = 200 needs no Catalan number past those.
         steps = 0
 
-        def counted(m, k):
+        def counted(k, start=0):
             nonlocal steps
-            if k == 2:
-                steps += 1
-            return ratio(m, k)
+            for pair in ratios(k, start):
+                if k == 2:
+                    steps += 1
+                yield pair
 
-        ratio = sequences._ratio
+        ratios = sequences._ratios
         monkeypatch.setattr(sequences, "_prefixes", {})
-        monkeypatch.setattr(sequences, "_ratio", counted)
+        monkeypatch.setattr(sequences, "_ratios", counted)
         assert [fixed_vertex_outside(n) for n in range(4, 301)] == [dyck_formula(n - 2) for n in range(4, 301)]
         assert all(central_recursion_rhs(n) == catalan(n - 2) for n in range(3, 201))
         assert 0 < steps <= 298

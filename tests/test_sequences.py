@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from itertools import islice, repeat
 from math import comb
 
 import pytest
@@ -18,7 +19,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.sequences import _fuss_catalan_prefix, _fuss_index, _ratio
+from polycenter.sequences import _fuss_catalan_prefix, _fuss_index, _ratios
 
 
 def catalan_by_convolution(limit):
@@ -130,7 +131,7 @@ class TestFussCatalanPrefix:
 
     def test_inexact_step_raises_and_keeps_the_table(self, monkeypatch):
         monkeypatch.setattr(sequences, "_prefixes", {2: [1, 1, 2]})
-        monkeypatch.setattr(sequences, "_ratio", lambda m, k: (1, 3))
+        monkeypatch.setattr(sequences, "_ratios", lambda k, start=0: repeat((1, 3)))
         with pytest.raises(ArithmeticError):
             _fuss_catalan_prefix(5, 2)
         assert sequences._prefixes[2] == [1, 1, 2]
@@ -142,9 +143,11 @@ class TestRatio:
         # Each side keeps s = min(m, k) - 1 terms once k(m+1) cancels m+1
         # and, for m < k, the terms both sides share, and s! cancels as
         # well; at k >= 10**6 the uncancelled products would have millions
-        # of factors.
-        for m in range(301) if k <= 8 else (0, 1, 2, 7):
-            num, den = _ratio(m, k)
+        # of factors.  A large k reads each index from a stream started
+        # there, which builds nothing of size k.
+        ms = range(301) if k <= 8 else (0, 1, 2, 7)
+        pairs = islice(_ratios(k), 301) if k <= 8 else (next(_ratios(k, m)) for m in ms)
+        for m, (num, den) in zip(ms, pairs, strict=True):
             if m == 0:
                 assert (num, den) == (1, 1), k
             else:
@@ -173,11 +176,19 @@ class TestRatio:
             return e
 
         for p in (2, 3, 5, 7):
-            for m in range(1, 301):
-                num, den = _ratio(m, k)
+            for m, (num, den) in enumerate(islice(_ratios(k, 1), 300), 1):
                 s = min(m, k) - 1
                 assert valuation(num, p) <= valuation(k, p) + floor_log(k * m + k - 1, p), (m, k, p)
                 assert valuation(den, p) <= floor_log((k - 1) * m + s + 1, p), (m, k, p)
+
+    @pytest.mark.parametrize("k", [*range(2, 9), 50])
+    def test_a_stream_started_anywhere_is_the_same_slice(self, k):
+        # s grows with m up to m = k - 1 and stays k - 1 from m = k on: a
+        # stream started on either side of that boundary reads on into the
+        # other exactly as the stream from 0 does.
+        whole = list(islice(_ratios(k), k + 21))
+        for start in (0, 1, k - 1, k, k + 1):
+            assert list(islice(_ratios(k, start), 20)) == whole[start : start + 20], (k, start)
 
 
 class TestFussIndex:
