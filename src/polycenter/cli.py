@@ -47,9 +47,9 @@ ENUMERATION_N_LIMIT = 360
 #: Largest index a residue command accepts: the --max of verify congruence
 #: and the n of catalan --mod.  It bounds the dense sweeps odd and mod4,
 #: which step the residue at every index for about a µs, so a run at the
-#: limit ends within about 30 s (mod4 --max 10000000 took 6.1 to 6.7 s on
-#: CPython 3.11 and 12.5 to 13.8 s on 3.10), where --max 1000000000000
-#: would run for weeks.
+#: limit ends within about 30 s (mod4 --max 10000000 took 7.0 to 9.5 s on
+#: CPython 3.11 and 11.6 to 12.1 s on 3.10, on a busy host), where
+#: --max 1000000000000 would run for weeks.
 #: A passing modp or kangp run steps nothing: it reads each checked index's
 #: p-adic valuation from Legendre's formula, about log_p of the index in
 #: work.  Only a library bug makes a run fail, and a failing kangp run steps

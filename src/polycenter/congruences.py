@@ -135,13 +135,14 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
 
     The sweep keeps F(m) = p**v * num / den with v = v_p(F(m)) exact and
     num, den prime to p and reduced mod q = p**e.  Each step takes the
-    next ratio of one _ratios(k) stream, strips the powers of p from its
-    numerator and denominator into v and multiplies the rests into num
-    and den.  Each side is one binomial,
-    so by Kummer's theorem it holds at most v_p(k) + log_p(km + k) factors
-    of p, and the strip loops run a few times a step.  den is inverted only
-    at the indices of ms, so every step costs a few operations on numbers
-    that do not grow with the range, besides the two binomials themselves.
+    next ratio of the sweep's one _ratios(k) stream, strips the powers of p
+    from its numerator and denominator into v and multiplies the rests into
+    num and den.  Each side is one binomial, so by Kummer's theorem it
+    holds at most v_p(k) + log_p(km + k) factors of p, and the strip loops
+    run a few times a step.  den is inverted only at the indices of ms, so
+    every step costs a few operations on numbers that do not grow with the
+    range, besides the two binomials themselves, and calls no Python
+    function.
 
     A target more than one index past the last stepped one first reads
     v_p(F(t)) from Legendre's formula, _fuss_valuation(t, k, p).  When

@@ -49,10 +49,11 @@ def fuss_catalan(n: int, k: int) -> int:
 
 
 def _ratios(k: int, start: int = 0):
-    """F(m+1)/F(m) with parameter k as (numerator, denominator) for m = start, start + 1, ..., shared factors cancelled.
+    """F(m+1)/F(m) with parameter k as (numerator, denominator) for m = start, start + 1, ...
 
-    F(m, k) = (km)! / (m! ((k-1)m + 1)!), so the ratio is (km+1)...(km+k)
-    over (m+1) times ((k-1)m+2)...((k-1)m+k).  km+k = k(m+1) cancels the
+    Each pair has its shared factors cancelled.  F(m, k) = (km)! / (m!
+    ((k-1)m + 1)!), so the ratio is (km+1)...(km+k) over (m+1) times
+    ((k-1)m+2)...((k-1)m+k).  km+k = k(m+1) cancels the
     m+1, and for m < k the k-m terms km+1...(k-1)m+k appear on both sides.
     For m >= 1 each side keeps s = min(m, k) - 1 terms, and both products
     hold s!, which cancels too, so each side is one math.comb: k C(km+k-1, s)
