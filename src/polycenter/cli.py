@@ -22,7 +22,7 @@ import sys
 from itertools import accumulate
 from pathlib import Path
 
-from .congruences import Theorem, VerificationReport, _first_mismatch, verify_congruence
+from .congruences import Theorem, VerificationReport, _first_mismatch, _no_case, verify_congruence
 from .enumeration import _key_order, _shape_json, central_census, census_to_json, count_vertex0_outside
 from .model import DIAMETER, Dissection, parse_diagonals
 from .recursions import _central_sum, _central_terms, dyck_formula, fixed_vertex_outside
@@ -267,7 +267,7 @@ def _verify_recursion(args) -> int:
         raise ValueError("k must be >= 3")
     cases = range(first, (args.max - start) // step + 1)
     if not cases:
-        raise ValueError(f"max={args.max} holds no case; the first is n={step * first + start}")
+        raise _no_case(args.max, step * first + start)
     for m in cases:
         n, rhs, expected = step * m + start, _central_sum((k - 2) * m + 2, k), fuss_catalan(m, k - 1)
         if rhs != expected:
@@ -281,7 +281,7 @@ def _verify_recursion(args) -> int:
 def _verify_congruence(args) -> int:
     """Sweep the theorem up to --max; a --max below the first case is refused, as in verify recursion."""
     _admit("max", args.max, CONGRUENCE_LIMIT)
-    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k, refuse_empty=True)
+    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k)
     if report.passed:
         return _print_report(report, args, f"{args.theorem}: verified up to n={args.max}")
     return _print_report(report, args, f"{args.theorem}: counterexample {report.counterexample}")

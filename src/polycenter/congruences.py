@@ -180,16 +180,18 @@ def _fuss_catalan_residues(ms: range, k: int, p: int, e: int):
         yield 0 if v >= e else p**v * num * pow(den, -1, q) % q
 
 
-def verify_congruence(
-    theorem: Theorem, max_n: int, p: int = None, k: int = None, *, refuse_empty: bool = False
-) -> VerificationReport:
+def _no_case(max_n: int, first: int) -> ValueError:
+    """The refusal of a range up to max_n that holds no case: a sweep that checks nothing does not pass."""
+    return ValueError(f"max={max_n} holds no case; the first is n={first}")
+
+
+def verify_congruence(theorem: Theorem, max_n: int, p: int = None, k: int = None) -> VerificationReport:
     """Sweep the theorem's parameter range up to max_n and report pass/fail.
 
     The mod-p theorems are one-directional: only the indices for which the
     theorem predicts residue 0 are checked.  The sweep stops at the last
-    checked index.  A max_n below the first checked index gives a passing
-    report of 0 cases, or with refuse_empty raises ValueError naming that
-    index, before any work.
+    checked index.  A max_n below the first checked index raises ValueError
+    naming that index, before any work.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -223,6 +225,6 @@ def verify_congruence(
         expected, residues = repeat(0), _fuss_catalan_residues(ms, k - 1, p=p, e=1)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if refuse_empty and not ns:
-        raise ValueError(f"max={max_n} holds no case; the first is n={ns.start}")
+    if not ns:
+        raise _no_case(max_n, ns.start)
     return VerificationReport(theorem, bounds, *_first_mismatch("n", ns, expected, residues))

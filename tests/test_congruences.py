@@ -187,46 +187,38 @@ def kangp_indices(p, k, max_n):
 class TestCasesChecked:
     MAX_NS = (0, 1, 2, 3, 10, 57, 400)
 
+    @staticmethod
+    def check_counts(theorem, params, indices):
+        # A range that holds no case is refused with its first index, which
+        # the same theorem names at a larger max_n.
+        first = indices(10**4)[0]
+        for max_n in TestCasesChecked.MAX_NS:
+            if not indices(max_n):
+                with pytest.raises(ValueError, match=f"^max={max_n} holds no case; the first is n={first}$"):
+                    verify_congruence(theorem, max_n, **params)
+                continue
+            report = verify_congruence(theorem, max_n, **params)
+            assert report.passed
+            assert report.cases == len(indices(max_n)), (params, max_n)
+
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_modp_counts(self, p):
-        for max_n in self.MAX_NS:
-            report = verify_congruence(Theorem.MODP_CATALAN, max_n, p=p)
-            assert report.passed
-            assert report.cases == len(modp_indices(p, max_n)), (p, max_n)
+        self.check_counts(Theorem.MODP_CATALAN, {"p": p}, lambda max_n: modp_indices(p, max_n))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_kangp_counts(self, p):
         for k in range(3, 9):
             if k % p == 0:
                 continue
-            for max_n in self.MAX_NS:
-                if (k - 2) % p == 0:
-                    # No n = (k-2)m + 2 is divisible by p: refused, not verified.
+            if (k - 2) % p == 0:
+                # No n = (k-2)m + 2 is divisible by p: refused, not verified.
+                for max_n in self.MAX_NS:
                     with pytest.raises(ValueError, match="divides k-2"):
                         verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
-                    continue
-                report = verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
-                assert report.passed
-                assert report.cases == len(kangp_indices(p, k, max_n)), (p, k, max_n)
-
-    @pytest.mark.parametrize("p", [5, 7, 11, 13])
-    def test_refuse_empty_names_the_first_case(self, p):
-        # refuse_empty changes only a range of 0 cases, into a ValueError
-        # that names the theorem's first index.
-        sweeps = [(Theorem.MODP_CATALAN, {"p": p}, modp_indices(p, 10**4)[0])]
-        sweeps += [
-            (Theorem.MODP_KANGULATION, {"p": p, "k": k}, kangp_indices(p, k, 10**4)[0])
-            for k in range(3, 9)
-            if k % p and (k - 2) % p
-        ]
-        for theorem, params, first in sweeps:
-            for max_n in self.MAX_NS:
-                report = verify_congruence(theorem, max_n, **params)
-                if report.cases:
-                    assert verify_congruence(theorem, max_n, **params, refuse_empty=True) == report
-                    continue
-                with pytest.raises(ValueError, match=f"^max={max_n} holds no case; the first is n={first}$"):
-                    verify_congruence(theorem, max_n, **params, refuse_empty=True)
+                continue
+            self.check_counts(
+                Theorem.MODP_KANGULATION, {"p": p, "k": k}, lambda max_n: kangp_indices(p, k, max_n)
+            )
 
     def test_dense_counts(self):
         for max_n in self.MAX_NS:
@@ -306,12 +298,17 @@ class TestStreams:
             if k % p == 0 or (k - 2) % p == 0:
                 continue
             for max_n in (0, 1, 2, 3, k - 1, k, k + 1, 2 * k, 97, 400):
+                if not kangp_indices(p, k, max_n):
+                    first = kangp_indices(p, k, 10**4)[0]
+                    with pytest.raises(ValueError, match=f"^max={max_n} holds no case; the first is n={first}$"):
+                        verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
+                    empty += 1
+                    continue
                 report = verify_congruence(Theorem.MODP_KANGULATION, max_n, p=p, k=k)
                 ms, ns = streams["ms"][-1], streams["ns"][-1]
                 assert ns == [(k - 2) * m + 2 for m in ms], (p, k, max_n)
                 assert ns == kangp_indices(p, k, max_n), (p, k, max_n)
                 assert report.passed and report.cases == len(ns)
-                empty += not ns
         assert empty
 
 
