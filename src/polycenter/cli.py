@@ -19,13 +19,13 @@ import argparse
 import json
 import math
 import sys
-from itertools import accumulate
+from itertools import count
 from pathlib import Path
 
 from .congruences import Theorem, VerificationReport, _first_mismatch, _no_case, verify_congruence
 from .enumeration import _key_order, _shape_json, central_census, census_to_json, count_vertex0_outside
 from .model import DIAMETER, Dissection, parse_diagonals
-from .recursions import _central_sum, _central_terms, dyck_formula, fixed_vertex_outside
+from .recursions import _central_sum, _central_terms, _slot_width, dyck_formula, fixed_vertex_outside
 from .sequences import _fuss_index, catalan_mod, fuss_catalan
 from .svg import render_svg
 
@@ -81,19 +81,20 @@ RENDER_LIMIT = 250_000
 #: fuss at the limit end in 4 to 18 s.
 COUNT_LIMIT = 425_000
 
-#: Most units of work that one verify recursion run may do.  Its last case,
-#: the polygon of Fuss-Catalan index M, is costed as T sorted k-tuples of
-#: indices times bigints of about B bits, so the run costs about
-#: T * B * cases units (see _recursion_max).  A run at the limit does 1.1
-#: to 1.2e11 units, and when the model was sized a unit at k <= 5 took 0.5
-#: to 1.3e-10 s on CPython 3.11 (central --max 1000: 4.1e10 units, 2.2 s),
-#: so a run ends within about 30 s.  At k >= 4 _central_sum now takes one
-#: packed power per case, far less work than T tuples.  Whole CLI runs at
-#: the largest admitted --max, on a shared 2-vCPU host: 1304 for central
-#: 7.9 to 9.6 s, 414 for quad 2.7 to 2.8 s, 833 for kang --k 4 2.9 to
-#: 4.1 s, 688 for kang --k 5 0.5 to 0.8 s, kang --k 6 0.2 to 0.3 s, kang
-#: at k = 10, 50 and 200 about 0.1 s and at k = 200,000 0.4 to 0.5 s.
+#: Most units of work that one verify recursion run may do at k = 3, where
+#: its last case, of Fuss-Catalan index M, closes T sorted triples of
+#: indices with bigints of about B bits: T * B * cases units (see
+#: _recursion_max).  central --max 1304, the largest admitted for central
+#: and kang --k 3, took 8.5 to 12.0 s as a whole CLI run on CPython 3.11 on
+#: a shared 2-vCPU host, 0.7 to 1.0e-10 s a unit.
 RECURSION_LIMIT = 120_000_000_000
+
+#: The same at k >= 4, where each case is one packed power: its products
+#: times (M * w)**log2(3) units for ints of M slots of w bits.  Whole CLI
+#: runs at the largest admitted --max, priced 1.85 to 2.0e12 units, took
+#: 2.9 to 6.4e-12 s a unit on the same host, 5.7 to 11.9 s at every k from
+#: quad to 10**100 (the README limits table lists each).
+RECURSION_POWER_LIMIT = 2_000_000_000_000
 
 
 def _finish(value, args) -> int:
@@ -214,36 +215,25 @@ def _print_report(report: VerificationReport, args, text: str) -> int:
 def _recursion_max(k: int, first: int) -> int:
     """The first Fuss-Catalan index that verify recursion refuses at cell size k, its cases counted from first.
 
-    The case of the polygon with Fuss-Catalan index M walks T sorted
-    k-tuples of indices 0 <= j <= (M-1)//2 summing to M - 1 and multiplies
-    bigints of about B bits, the bit length of F(M, k-1) as estimated by
-    :func:`_micro_digits`, so a run up to M costs about T * B * cases
-    units.  The first M above RECURSION_LIMIT is returned, and every --max
-    that reaches its case is refused.  At most one index exceeds (M-1)//2,
-    so T is the partitions of M - 1 into at most k parts less, for each
-    value of that one index, the partitions of the rest into at most k-1
-    parts.  Both counts are tabulated for x <= upto, and upto doubles until
-    the refused M is found, below 2,000 at every k.  T counts tuples one by
-    one, so at k >= 4 it overstates :func:`_central_sum`, whose packed
-    power makes at most 2 log2 k products of ints of at most M slots: seven
-    at the 3362-gon at k = 50, against 3,486,475 tuples.
+    A run to the case of index M costs that case's price, by the path
+    :func:`_central_sum` takes, times its cases.  At k = 3 the case closes
+    the sorted triples of indices <= (M-1)//2 summing to M - 1, bigints of
+    about the bits of F(M, 2): the ((M+2)**2 + 6)//12 partitions of M - 1
+    into at most 3 parts less the x + (x-1)**2//4, x = M//2, with a part
+    above (M-1)//2.  At k >= 4 it makes k.bit_length() - 1 squarings and
+    k.bit_count() - 1 multiplies of ints of M slots of :func:`_slot_width`
+    bits, each priced (M * width)**log2(3) for Karatsuba multiplication.
     """
-    upto = 64
-    while True:
-        parts = [1] + [0] * upto  # parts[x]: partitions of x into parts no larger than size
-        for size in range(1, min(k - 1, upto) + 1):
-            for x in range(size, upto + 1):
-                parts[x] += parts[x - size]
-        below = [0, *accumulate(parts)]  # below[x]: partitions of less than x into at most k-1 parts
-        if k <= upto:
-            for x in range(k, upto + 1):
-                parts[x] += parts[x - k]
-        for m in range(first, upto + 2):
-            t = m - 1
-            bits = math.ceil(_micro_digits(m, k - 1) * math.log2(10) / 10**6)
-            if (parts[t] - below[t - t // 2]) * bits * (m - first + 1) > RECURSION_LIMIT:
+    products = k.bit_length() + k.bit_count() - 2
+    for m in count(first):
+        if k == 3:
+            x = m // 2
+            tuples = ((m + 2) ** 2 + 6) // 12 - (x + (x - 1) ** 2 // 4)
+            bits = math.ceil(_micro_digits(m, 2) * math.log2(10) / 10**6)
+            if tuples * bits * (m - first + 1) > RECURSION_LIMIT:
                 return m
-        upto *= 2
+        elif products * (m * _slot_width(m - 1, k)) ** math.log2(3) * (m - first + 1) > RECURSION_POWER_LIMIT:
+            return m
 
 
 def _verify_recursion(args) -> int:
@@ -262,9 +252,9 @@ def _verify_recursion(args) -> int:
         k = args.k
     first = 2 if args.kind == "kang" else 1
     step, start = (1, 0) if args.kind == "quad" else (k - 2, 2)
-    _admit("max", args.max, step * _recursion_max(k, first) + start - 1 if k >= 3 else None)
     if k < 3:
         raise ValueError("k must be >= 3")
+    _admit("max", args.max, step * _recursion_max(k, first) + start - 1)
     cases = range(first, (args.max - start) // step + 1)
     if not cases:
         raise _no_case(args.max, step * first + start)
@@ -279,9 +269,13 @@ def _verify_recursion(args) -> int:
 
 
 def _verify_congruence(args) -> int:
-    """Sweep the theorem up to --max; a --max below the first case is refused, as in verify recursion."""
+    """Sweep the theorem up to --max; a --max below the first case or a --p or --k it ignores is refused."""
+    if args.p is not None and args.theorem not in ("modp", "kangp"):
+        raise ValueError("--p is only for --theorem modp and kangp")
+    if args.k is not None and args.theorem != "kangp":
+        raise ValueError("--k is only for --theorem kangp")
     _admit("max", args.max, CONGRUENCE_LIMIT)
-    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=args.k)
+    report = verify_congruence(Theorem(args.theorem), args.max, p=args.p, k=3 if args.k is None else args.k)
     if report.passed:
         return _print_report(report, args, f"{args.theorem}: verified up to n={args.max}")
     return _print_report(report, args, f"{args.theorem}: counterexample {report.counterexample}")
@@ -406,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc = vsub.add_parser("congruence", help="check a congruence theorem")
     vc.add_argument("--theorem", choices=[t.value for t in Theorem], required=True)
     vc.add_argument("--p", type=int, help="prime for the mod-p theorems")
-    vc.add_argument("--k", type=int, default=3, help="cell size for kangp")
+    vc.add_argument("--k", type=int, help="cell size for kangp (default 3)")
     vc.add_argument("--max", type=int, required=True)
     vc.add_argument("--json", action="store_true")
     vc.set_defaults(func=_verify_congruence)

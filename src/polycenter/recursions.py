@@ -87,6 +87,11 @@ def _central_terms(n: int, k: int) -> Iterator:
         yield shape, placement_count(shape, n) * prod(c[j] for j in indices)
 
 
+def _slot_width(total: int, k: int) -> int:
+    """Bits per slot of :func:`_central_sum`'s packed power: one more than its coefficient bound."""
+    return comb((k - 1) * total + k, total).bit_length() + 1
+
+
 def _central_sum(n: int, k: int) -> int:
     """k-angulations of an n-gon grouped by central component: the sum of
     :func:`_central_terms`, read as one coefficient of a power.
@@ -110,7 +115,7 @@ def _central_sum(n: int, k: int) -> int:
         return result
     total = m - 1
     if k > 3:
-        width = comb((k - 1) * total + k, total).bit_length() + 1
+        width = _slot_width(total, k)
         mask = (1 << width * m) - 1
         base = sum(x << width * j for j, x in enumerate(c[: top + 1]))
         power = base

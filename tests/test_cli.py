@@ -225,9 +225,10 @@ class TestVerifyCommands:
         assert capsys.readouterr() == default
         assert default.out.endswith("verified 27 cases\n")
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_recursion_kang_rejects_small_k(self, capsys, k):
-        assert run(["verify", "recursion", "--kind", "kang", "--k", str(k), "--max", "100"]) == 2
+    @pytest.mark.parametrize("k,most", [(0, 100), (1, 100), (2, 100), (2, -5)], ids=["0", "1", "2", "2-max-5"])
+    def test_recursion_kang_rejects_small_k(self, capsys, k, most):
+        # k is checked before --max, whose limit needs k >= 3
+        assert run(["verify", "recursion", "--kind", "kang", "--k", str(k), "--max", str(most)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: k must be >= 3\n"
@@ -310,6 +311,24 @@ class TestVerifyCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: p=3 divides k-2=999, so no n = 999m + 2 is divisible by p\n"
+
+    @pytest.mark.parametrize(
+        "theorem,flags,message",
+        [
+            ("odd", ["--p", "7"], "--p is only for --theorem modp and kangp"),
+            ("mod4", ["--p", "3"], "--p is only for --theorem modp and kangp"),
+            ("odd", ["--k", "3"], "--k is only for --theorem kangp"),
+            ("mod4", ["--k", "5"], "--k is only for --theorem kangp"),
+            ("modp", ["--p", "7", "--k", "4"], "--k is only for --theorem kangp"),
+            ("odd", ["--p", "7", "--k", "4", "--max", "-5"], "--p is only for --theorem modp and kangp"),
+        ],
+    )
+    def test_congruence_refuses_a_flag_its_theorem_ignores(self, capsys, theorem, flags, message):
+        # An ignored flag is an error, before --max is read, even one equal
+        # to the value the sweep would use.
+        argv = ["verify", "congruence", "--theorem", theorem, *flags]
+        assert run(argv if "--max" in flags else [*argv, "--max", "100"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_congruence_modp(self, capsys):
         assert run(["verify", "congruence", "--theorem", "modp", "--p", "7", "--max", "300"]) == 0
@@ -498,14 +517,14 @@ class TestCongruenceLimit:
 
     def test_kangp_admitted_at_the_limit(self, capsys):
         # A passing kangp run reads Legendre counts and steps nothing, so it
-        # ends at once at any k; the other theorems ignore --k.
+        # ends at once at any k; the other theorems refuse --k.
         argv = ["verify", "congruence", "--theorem", "kangp", "--p", "7", "--k", "10001", "--max", "10000000"]
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "kangp: verified up to n=10000000\n", "")
-        assert run(["verify", "congruence", "--theorem", "odd", "--k", "2000001", "--max", "1000"]) == 0
-        assert capsys.readouterr().out == "odd: verified up to n=1000\n"
+        assert run(["verify", "congruence", "--theorem", "odd", "--k", "2000001", "--max", "1000"]) == 2
+        assert capsys.readouterr() == ("", "error: --k is only for --theorem kangp\n")
 
     def test_catalan_mod_refused_above_the_limit(self):
         # catalan --mod sieves 2n + 1 bytes, so its n has the same limit.
@@ -902,15 +921,15 @@ LIMITS = {
         "_central_sum",
     ),
     "recursion-quad": (
-        ["verify", "recursion", "--kind", "quad", "--max", "414"],
-        ["verify", "recursion", "--kind", "quad", "--max", "415"],
-        "max=415 is above the limit of 414",
+        ["verify", "recursion", "--kind", "quad", "--max", "513"],
+        ["verify", "recursion", "--kind", "quad", "--max", "514"],
+        "max=514 is above the limit of 513",
         "_central_sum",
     ),
     "recursion-kang": (
-        ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "688"],
-        ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "689"],
-        "max=689 is above the limit of 688",
+        ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "1318"],
+        ["verify", "recursion", "--kind", "kang", "--k", "5", "--max", "1319"],
+        "max=1319 is above the limit of 1318",
         "_central_sum",
     ),
 }
@@ -938,21 +957,24 @@ class TestRecursionLimit:
         "command,limit",
         [
             (["--kind", "central"], 1304),
-            (["--kind", "quad"], 414),
+            (["--kind", "quad"], 513),
             (["--kind", "kang", "--k", "3"], 1304),
-            (["--kind", "kang", "--k", "5"], 688),
-            (["--kind", "kang", "--k", "10000000000"], 619999999877),
+            (["--kind", "kang", "--k", "5"], 1318),
+            (["--kind", "kang", "--k", "10000000000"], 949999999811),
+            # a slot widens with log k, so at k = 10**100 a run holds 22 cases
+            (["--kind", "kang", "--k", str(10**100)], (10**100 - 2) * 24 + 1),
         ],
     )
     def test_refused_before_any_term(self, command, limit):
-        argv = ["verify", "recursion", *command, "--max", str(10**18)]
+        # 10**200 lies past the first case of every row, k = 10**100 included
+        argv = ["verify", "recursion", *command, "--max", str(10**200)]
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "polycenter.cli", *argv], capture_output=True, text=True, timeout=10
         )
         assert time.perf_counter() - start < 1.0
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == f"error: max=1000000000000000000 is above the limit of {limit}\n"
+        assert done.stderr == f"error: max={10**200} is above the limit of {limit}\n"
 
     @pytest.mark.parametrize("k", [3, 4, 7, 100, 2000, 10**10, 10**100])
     def test_estimate_is_fast(self, k):
@@ -965,15 +987,25 @@ class TestRecursionLimit:
     )
     @pytest.mark.parametrize("budget", [10**4, 10**7])
     def test_limit_counts_the_walked_tuples(self, monkeypatch, kind, k, budget):
-        # The first refused index, with T counted tuple by tuple over the
-        # indices below the diameter that the central walk itself reads.
+        # The first refused index, priced by what each case walks.  At k = 3
+        # T is counted tuple by tuple over the indices below the diameter
+        # that the closing loop reads.  At k >= 4 the products are counted
+        # off the square-and-multiply loop, and the slot is as wide as the
+        # bound on every coefficient of P^j, j <= k, up to index m - 1.
         monkeypatch.setattr(cli, "RECURSION_LIMIT", budget)
+        monkeypatch.setattr(cli, "RECURSION_POWER_LIMIT", budget)
         first = 2 if kind == "kang" else 1
+        products = sum(2 if bit == "1" else 1 for bit in bin(k)[3:])
         for m in count(first):
-            top = _central((k - 2) * m + 2, k)[3]
-            tuples = sum(1 for _ in bounded_partitions(m - 1, k, 0, top))
-            bits = ceil(cli._micro_digits(m, k - 1) * log2(10) / 10**6)
-            if tuples * bits * (m - first + 1) > budget:
+            if k == 3:
+                top = _central((k - 2) * m + 2, k)[3]
+                tuples = sum(1 for _ in bounded_partitions(m - 1, k, 0, top))
+                bits = ceil(cli._micro_digits(m, k - 1) * log2(10) / 10**6)
+                price = tuples * bits
+            else:
+                width = comb((k - 1) * (m - 1) + k, m - 1).bit_length() + 1
+                price = products * (m * width) ** log2(3)
+            if price * (m - first + 1) > budget:
                 break
         assert cli._recursion_max(k, first) == m
 

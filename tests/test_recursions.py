@@ -3,7 +3,7 @@
 import sys
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, prod
+from math import prod
 
 import pytest
 
@@ -25,7 +25,7 @@ from polycenter import (
     quadrangulation_count,
 )
 from polycenter import sequences
-from polycenter.recursions import _central, _central_sum, _central_terms, bounded_partitions
+from polycenter.recursions import _central, _central_sum, _central_terms, _slot_width, bounded_partitions
 
 
 class TestBoundedPartitions:
@@ -177,13 +177,13 @@ class TestCentralTerms:
 
     @pytest.mark.parametrize("k", range(4, 10))
     def test_slot_holds_every_power_coefficient(self, k):
-        # The packed power keeps slots 0..T of each P^j, j <= k, and a slot
-        # one bit wider than comb((k-1)T + k, T) must hold every one of
-        # them, whatever top cuts P off at.  P^j is convolved with plain
-        # lists; test_terms_match_placement_formula checks the sums.
+        # The packed power keeps slots 0..T of each P^j, j <= k, and every
+        # one of them must fit below the top bit of its slot, whatever top
+        # cuts P off at.  P^j is convolved with plain lists;
+        # test_terms_match_placement_formula checks the sums.
         c = sequences._fuss_catalan_prefix(12, k - 1)
         for total in range(13):
-            bits = comb((k - 1) * total + k, total).bit_length() + 1
+            bits = _slot_width(total, k) - 1
             power = p = c[: total + 1]
             assert max(p) < 2**bits
             for j in range(2, k + 1):
