@@ -125,48 +125,23 @@ def _central_sum(n: int, k: int) -> int:
                 power = power * base & mask
         return result + _exact_div(n * (power >> width * total), k)
     # The triples x <= y <= b summing to total, each weighted by its
-    # 6 / prod(r!) orderings.  For each x, the pairs y <= b summing to
-    # total - x are one product where y equals x or b and one dot product of
-    # c over y with c over b otherwise.  Where top < total bounds b and
-    # leaves it fewer values than x has, the loop runs over b instead, and
-    # the pairs x <= y are one product where x is 0, y equals b or x equals
-    # y and one dot product otherwise.
+    # 6 / prod(r!) orderings, closed on the largest index b: at k = 3
+    # top = total // 2, so b takes about total/6 values where x would take
+    # total/3.  For each b the pairs x <= y <= b sum to rest = total - b.
     closed = 0
-    if top < total and top < (total + 2) // 3 + min(top, total // 3):
-        # top bounds b, which has fewer values than x: for each b the pairs
-        # x <= y <= b sum to rest = total - b > 0, so y > 0
-        for b in range((total + 2) // 3, top + 1):
-            rest, tail = total - b, 0
-            lo, hi = max(0, rest - b), rest // 2
-            if lo == 0:
-                # x = 0, and y = b when rest = b
-                tail += c[rest] * (3 if rest == b else 6)
-                lo = 1
-            if lo <= hi and lo == rest - b:
-                # y = b, and x = b too when rest = 2b
-                tail += c[lo] * c[b] * (1 if lo == b else 3)
-                lo += 1
-            if lo <= hi and 2 * hi == rest:
-                tail += c[hi] * c[hi] * 3
-                hi -= 1
-            if lo <= hi:
-                tail += 6 * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-            closed += c[b] * tail
-    else:
-        for x in range(min(top, total // 3) + 1):
-            # the pairs x <= y <= rest - y <= top
-            rest, tail = total - x, 0
-            lo, hi = max(x, rest - top), rest // 2
-            if lo == x:
-                # y = x, and b = x too when rest = 2x
-                tail += c[x] * c[rest - x] * (1 if 2 * x == rest else 3)
-                lo += 1
-            if lo <= hi and 2 * hi == rest:
-                tail += c[hi] * c[hi] * 3
-                hi -= 1
-            if lo <= hi:
-                tail += 6 * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
-            closed += c[x] * tail
+    for b in range((total + 2) // 3, top + 1):
+        rest, tail = total - b, 0
+        lo, hi = max(0, rest - b), rest // 2
+        if lo <= hi and lo == rest - b:
+            # y = b, and x = b too when rest = 2b
+            tail += c[lo] * c[b] * (1 if lo == b else 3)
+            lo += 1
+        if lo <= hi and 2 * hi == rest:
+            tail += c[hi] * c[hi] * 3
+            hi -= 1
+        if lo <= hi:
+            tail += 6 * sum(map(mul, c[lo : hi + 1], c[rest - hi : rest - lo + 1][::-1]))
+        closed += c[b] * tail
     return result + _exact_div(n * closed, 3)
 
 

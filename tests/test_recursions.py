@@ -118,34 +118,37 @@ class TestCentralTerms:
     @pytest.mark.parametrize(
         "n, k, shape",
         [
-            # Shapes where runs of equal indices start or end.  The labels
-            # say where each falls when the last three indices x <= y <= b
-            # are closed after an index last: on x, or on b where top bounds
-            # b and leaves it fewer values.  The k = 3 sum still closes that
-            # way, on x at n = 3 and 5 and on b from n = 6.
-            (6, 3, (2, 2, 2)),  # on b: x == y == b
-            (12, 4, (3, 3, 3, 3)),  # on x: x == last == y == b
-            (17, 5, (1, 4, 4, 4, 4)),  # on x
-            (11, 3, (3, 3, 5)),  # on b: x == y below b
-            (17, 5, (1, 1, 4, 4, 7)),  # on b
-            (13, 3, (1, 6, 6)),  # on b: y == b above x
-            (12, 4, (1, 1, 5, 5)),  # on b: x == last and y == b at once, lo = last = total - 2b
-            # Closed on x:
-            (14, 4, (3, 3, 3, 5)),  # x == last == y < b, which needs b = total - 2 last > top
-            (20, 4, (3, 5, 5, 7)),  # x == y above last
-            (22, 4, (3, 5, 7, 7)),  # y == b above x
-            (5, 3, (1, 2, 2)),
-            # Closed on b:
-            (10, 4, (1, 3, 3, 3)),  # x == y == b
-            (14, 4, (1, 3, 5, 5)),  # y == b
-            (26, 4, (3, 3, 9, 11)),  # x == last
-            (17, 5, (1, 1, 1, 7, 7)),  # x == last and y == b at once
+            # Shapes where runs of equal indices start or end: a run of
+            # zeros, a run inside the tuple, a run that ends it below top or
+            # a run at top.  Each note gives the row's indices j (side
+            # 1 + (k-2)j) and the runs it pins in the term stream.
+            (6, 3, (2, 2, 2)),  # (1, 1, 1): one run at top, the whole triple
+            (12, 4, (3, 3, 3, 3)),  # (1, 1, 1, 1): one run below top, the whole tuple
+            (17, 5, (1, 4, 4, 4, 4)),  # (0, 1, 1, 1, 1): a run of four ends the tuple below top
+            (11, 3, (3, 3, 5)),  # (2, 2, 4): a run of two ends below a single at top
+            (17, 5, (1, 1, 4, 4, 7)),  # (0, 0, 1, 1, 2): two runs of two end below top
+            (13, 3, (1, 6, 6)),  # (0, 5, 5): a run of two at top starts above a zero
+            (12, 4, (1, 1, 5, 5)),  # (0, 0, 2, 2): a run of zeros, then a run of two at top
+            (14, 4, (3, 3, 3, 5)),  # (1, 1, 1, 2): a run of three ends below top
+            (20, 4, (3, 5, 5, 7)),  # (1, 2, 2, 3): a run of two inside the tuple
+            (22, 4, (3, 5, 7, 7)),  # (1, 2, 3, 3): a run of two ends the tuple below top
+            (5, 3, (1, 2, 2)),  # (0, 1, 1): a run of two at top, the pentagon's one triple
+            (10, 4, (1, 3, 3, 3)),  # (0, 1, 1, 1): a run of three at top starts above a zero
+            (14, 4, (1, 3, 5, 5)),  # (0, 1, 2, 2): a run of two at top above two singles
+            (26, 4, (3, 3, 9, 11)),  # (1, 1, 4, 5): a nonzero run of two starts the tuple
+            (17, 5, (1, 1, 1, 7, 7)),  # (0, 0, 0, 2, 2): a run of three zeros meets a run at top
         ],
     )
     def test_edge_families(self, n, k, shape):
         terms = list(_central_terms(n, k))
         assert shape in dict(terms)
         assert terms == reference_terms(n, k)
+
+    def test_triangle_top_is_half_the_index_sum(self):
+        # _central_sum closes the k = 3 triples on their largest index, which
+        # runs up to top = total // 2 and so takes about total/6 values
+        for n in range(3, 2001):
+            assert _central(n, 3)[3] == (n - 3) // 2, n
 
     @pytest.mark.parametrize("k", [10, 17, 40, 101])
     def test_sum_matches_terms_when_k_exceeds_the_index_sum(self, k):
